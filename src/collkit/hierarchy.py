@@ -1,11 +1,14 @@
 """Two-level hierarchical all-gather and reduce-scatter.
 
 All-gather runs an inter-node phase on the per-local-rank sub-communicators
-(all of them concurrently), an intra-node phase, and finally a device-local
-block transpose that restores global rank order. Reduce-scatter mirrors it:
-local transpose first, then the intra-node phase, then the inter-node
-phase. The intra-node algorithm is always ring; the inter-node algorithm is
-selectable (ring, recursive, or auto via the cost model).
+(all of them concurrently), then an intra-node phase. Reduce-scatter
+mirrors it: the intra-node phase first, then the inter-node phase. The
+block transpose between global rank order and local-major order is fused
+into the phases: they read and write strided views of the caller's input
+and of the single output array, so no separate transpose pass runs (the
+``shuffle_*`` functions remain as standalone utilities). The intra-node
+algorithm is always ring; the inter-node algorithm is selectable (ring,
+recursive, or auto via the cost model).
 """
 from __future__ import annotations
 
@@ -28,14 +31,10 @@ from .transport.base import Communicator
 
 INTER_ALGORITHMS = ("ring", "recursive", "auto")
 
-# Deterministic communicator ids for the sub-groups, agreed by all ranks:
-# world is 0, inter-node group j is 1 + j, intra-node group n is 1 + M + n.
-def inter_comm_id(topo: Topology, local_rank: int) -> int:
-    return 1 + local_rank
-
-
-def intra_comm_id(topo: Topology, node: int) -> int:
-    return 1 + topo.gpus_per_node + node
+# Communicator ids of the sub-groups, agreed by all ranks. Inter-node
+# groups are disjoint from each other, and so are intra-node groups, so
+# no two groups sharing an id share a (src, dst) channel.
+WORLD_COMM_ID, INTER_COMM_ID, INTRA_COMM_ID = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -134,19 +133,15 @@ def _sub_communicators(plan: HierPlan, comm_world: Communicator):
         )
     g = comm_world.rank
     node, local = topo.node_of(g), topo.local_of(g)
-    inter = comm_world.subgroup(
-        inter_node_group(topo, local).members, inter_comm_id(topo, local)
-    )
-    intra = comm_world.subgroup(
-        intra_node_group(topo, node).members, intra_comm_id(topo, node)
-    )
+    inter = comm_world.subgroup(inter_node_group(topo, local).members, INTER_COMM_ID)
+    intra = comm_world.subgroup(intra_node_group(topo, node).members, INTRA_COMM_ID)
     return inter, intra
 
 
-def _inter_all_gather(alg: str, comm: Communicator, buf) -> np.ndarray:
+def _inter_all_gather(alg: str, comm: Communicator, buf, out: np.ndarray) -> np.ndarray:
     if alg == "recursive":
-        return recdbl_all_gather(comm, buf)
-    return ring_all_gather(comm, buf)
+        return recdbl_all_gather(comm, buf, out=out)
+    return ring_all_gather(comm, buf, out=out)
 
 
 def _inter_reduce_scatter(alg: str, comm: Communicator, buf) -> np.ndarray:
@@ -163,14 +158,18 @@ def hier_all_gather(plan: HierPlan, comm_world: Communicator, buf) -> np.ndarray
     src = as_elements(buf)
     topo = plan.topo
     n_nodes, m_gpus = topo.num_nodes, topo.gpus_per_node
+    n = src.size
     inter, intra = _sub_communicators(plan, comm_world)
-    alg = plan.resolve_inter(n_nodes * src.size * 4)
-    # Concurrent inter-node gathers leave each rank with its local-rank
-    # group's blocks in node order; the intra-node gather then yields the
-    # full result in local-major order, fixed up by the transpose.
-    gathered_nodes = _inter_all_gather(alg, inter, src)
-    local_major = ring_all_gather(intra, gathered_nodes)
-    return shuffle_local_major_to_global(local_major, n_nodes, m_gpus, src.size)
+    alg = plan.resolve_inter(n_nodes * n * 4)
+    # Block (node, j) of the output is global rank node*M + j. The inter
+    # phase of local rank j fills column j; the intra phase then gathers
+    # the columns, so the output ends up in global order with no transpose.
+    out = np.empty(n_nodes * m_gpus * n, dtype=np.float32)
+    grid = out.reshape(n_nodes, m_gpus, n)
+    column = grid[:, intra.rank, :]
+    _inter_all_gather(alg, inter, src, column)
+    ring_all_gather(intra, column, out=grid.transpose(1, 0, 2))
+    return out
 
 
 def hier_reduce_scatter(plan: HierPlan, comm_world: Communicator, buf) -> np.ndarray:
@@ -188,8 +187,8 @@ def hier_reduce_scatter(plan: HierPlan, comm_world: Communicator, buf) -> np.nda
     n = src.size // p
     inter, intra = _sub_communicators(plan, comm_world)
     alg = plan.resolve_inter(n_nodes * n * 4)
-    # Local transpose groups the blocks destined for each inter-node
-    # sub-communicator into one contiguous chunk per local rank.
-    local_major = shuffle_global_to_local_major(src, n_nodes, m_gpus, n)
-    node_partials = ring_reduce_scatter(intra, local_major)
+    # Chunk j of the intra phase is every block bound for inter-node group
+    # j, read as a strided view of the input instead of a transposed copy.
+    by_local = src.reshape(n_nodes, m_gpus, n).transpose(1, 0, 2)
+    node_partials = ring_reduce_scatter(intra, by_local)
     return _inter_reduce_scatter(alg, inter, node_partials)

@@ -1,8 +1,16 @@
 """Shared point-to-point machinery used by every transport backend.
 
 Matching is exact on (source rank, tag) with FIFO delivery per
-(src, dst, tag) channel; there are no wildcard receives. Payloads are raw
-bytes whose length must be a multiple of 4 (whole 32-bit elements).
+(src, dst, tag) channel; there are no wildcard receives.
+
+Payload ownership contract: a payload is any bytes-like object whose
+``len()`` is its byte count (``bytes``, or ``memoryview(arr).cast("B")``),
+and that length must be a multiple of 4 (whole 32-bit elements). Backends
+may hand the very object sent to the receiver without copying it, so the
+sender never writes a payload after ``send``, and the receiver only reads
+what ``recv`` returns. In particular a collective never sends a view of a
+buffer its caller can see (the input, or the output it returns): a peer
+may still be reading that view after this rank has returned.
 """
 from __future__ import annotations
 
@@ -38,7 +46,7 @@ class Message:
             )
 
 
-def check_payload(src: int, dst: int, tag: int, payload: bytes) -> None:
+def check_payload(src: int, dst: int, tag: int, payload) -> None:
     if dst == src:
         raise SelfSend(f"rank {src} cannot send to itself")
     if tag < 0:
@@ -137,13 +145,13 @@ class Communicator:
         seq %= COLLECTIVE_TAGS_PER_COMM // STEP_TAGS_PER_COLLECTIVE
         return self.comm_id * COLLECTIVE_TAGS_PER_COMM + seq * STEP_TAGS_PER_COLLECTIVE
 
-    def send(self, dst: int, tag: int, payload: bytes) -> None:
+    def send(self, dst: int, tag: int, payload) -> None:
         self.endpoint.send(self.members[dst], tag, payload)
 
-    def recv(self, src: int, tag: int) -> bytes:
+    def recv(self, src: int, tag: int):
         return self.endpoint.recv(self.members[src], tag)
 
-    def sendrecv(self, peer: int, tag: int, payload: bytes) -> bytes:
+    def sendrecv(self, peer: int, tag: int, payload):
         """Exchange payloads with one peer without deadlock regardless of
         the peer's send/recv ordering (sends never block on the receiver)."""
         if peer == self.rank:

@@ -19,7 +19,10 @@ class InProcessTransport:
             raise ValueError("num_ranks must be >= 1")
         self.num_ranks = num_ranks
         self._store = ChannelStore()
-        self._cond = threading.Condition()
+        # One condition per rank over a shared lock: a send wakes only the
+        # rank it is addressed to, not every waiting rank.
+        self._lock = threading.Lock()
+        self._conds = [threading.Condition(self._lock) for _ in range(num_ranks)]
         self.log: MessageLog | None = None
 
     def start_logging(self) -> MessageLog:
@@ -35,28 +38,29 @@ class InProcessTransport:
         return InProcessEndpoint(self, rank)
 
     def max_in_flight(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._store.max_in_flight()
 
     # endpoint plumbing
 
-    def _send(self, src: int, dst: int, tag: int, payload: bytes) -> None:
+    def _send(self, src: int, dst: int, tag: int, payload) -> None:
         check_payload(src, dst, tag, payload)
         if not 0 <= dst < self.num_ranks:
             raise IndexOutOfRange(f"dst {dst} not in [0, {self.num_ranks})")
         if self.log is not None:
             self.log.add(src, dst, tag, len(payload))
-        with self._cond:
+        with self._lock:
             self._store.put(src, dst, tag, payload)
-            self._cond.notify_all()
+            self._conds[dst].notify_all()
 
-    def _recv(self, dst: int, src: int, tag: int) -> bytes:
-        with self._cond:
+    def _recv(self, dst: int, src: int, tag: int):
+        cond = self._conds[dst]
+        with self._lock:
             while True:
                 data = self._store.try_pop(src, dst, tag)
                 if data is not None:
                     return data
-                self._cond.wait()
+                cond.wait()
 
 
 class InProcessEndpoint:
@@ -64,10 +68,10 @@ class InProcessEndpoint:
         self.transport = transport
         self.rank = rank
 
-    def send(self, dst: int, tag: int, payload: bytes) -> None:
+    def send(self, dst: int, tag: int, payload) -> None:
         self.transport._send(self.rank, dst, tag, payload)
 
-    def recv(self, src: int, tag: int) -> bytes:
+    def recv(self, src: int, tag: int):
         return self.transport._recv(self.rank, src, tag)
 
 

@@ -3,7 +3,9 @@
 Rendezvous is a plain-text host file with one ``rank host port`` line per
 rank; no rank coordinates membership. Frames are a 16-byte little-endian
 header (u32 src, u32 dst, u32 tag, u32 payload_len) followed by the
-payload. Each endpoint accepts connections from higher ranks and dials
+payload; header and payload go out in one gathered send and are never
+concatenated, and each payload is read straight into one buffer of its
+final size. Each endpoint accepts connections from higher ranks and dials
 lower ranks, retrying until the connect timeout elapses.
 """
 from __future__ import annotations
@@ -15,10 +17,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..errors import PeerUnreachable, Timeout
+from ..errors import LengthMismatch, PeerUnreachable, Timeout
 from .base import ChannelStore, check_payload
 
 FRAME_HEADER = struct.Struct("<IIII")
+MAX_FRAME_PAYLOAD = (1 << 32) - 1
 DEFAULT_CONNECT_TIMEOUT = 30.0
 
 
@@ -53,14 +56,38 @@ def write_host_file(path, entries) -> None:
             fh.write(f"{e.rank} {e.host} {e.port}\n")
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("peer closed the stream")
-        buf.extend(chunk)
-    return bytes(buf)
+def frame_header(src: int, dst: int, tag: int, nbytes: int) -> bytes:
+    """Header of one frame; a payload too long for the u32 length field
+    is refused rather than split."""
+    if nbytes > MAX_FRAME_PAYLOAD:
+        raise LengthMismatch(
+            f"payload of {nbytes} bytes exceeds the frame limit of {MAX_FRAME_PAYLOAD}"
+        )
+    return FRAME_HEADER.pack(src, dst, tag, nbytes)
+
+
+def _read_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            k = sock.recv_into(view[got:])
+            if not k:
+                raise ConnectionError("peer closed the stream")
+            got += k
+    return buf
+
+
+def _send_parts(sock: socket.socket, parts) -> None:
+    """Write ``parts`` back to back with gathered sends."""
+    views = [memoryview(part).cast("B") for part in parts]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views[0])
+            views.pop(0)
+        if sent:
+            views[0] = views[0][sent:]
 
 
 class SocketEndpoint:
@@ -175,21 +202,21 @@ class SocketEndpoint:
                 item = q.get()
                 if item is None:
                     return
-                sock.sendall(item)
+                _send_parts(sock, item)
         except OSError:
             with self._cond:
                 self._dead.add(peer)
                 self._cond.notify_all()
 
-    def send(self, dst: int, tag: int, payload: bytes) -> None:
+    def send(self, dst: int, tag: int, payload) -> None:
         check_payload(self.rank, dst, tag, payload)
+        header = frame_header(self.rank, dst, tag, len(payload))
         with self._cond:
             if dst in self._dead or dst not in self._out:
                 raise PeerUnreachable(f"rank {dst} is unreachable")
-            frame = FRAME_HEADER.pack(self.rank, dst, tag, len(payload)) + payload
-            self._out[dst].put(frame)
+            self._out[dst].put((header, payload))
 
-    def recv(self, src: int, tag: int) -> bytes:
+    def recv(self, src: int, tag: int):
         deadline = (
             time.monotonic() + self.recv_timeout if self.recv_timeout is not None else None
         )

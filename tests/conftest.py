@@ -1,31 +1,27 @@
 """Shared helpers for the test suite."""
+from collkit.hierarchy import INTER_COMM_ID, INTRA_COMM_ID, WORLD_COMM_ID
 from collkit.transport.base import (
     COLLECTIVE_TAGS_PER_COMM,
     STEP_TAGS_PER_COLLECTIVE,
 )
 
+PHASE_OF_COMM_ID = {WORLD_COMM_ID: "flat", INTER_COMM_ID: "inter", INTRA_COMM_ID: "intra"}
 
-def replay_schedule(log_records, topo, collective, algorithm):
+
+def replay_schedule(log_records, collective, algorithm):
     """Group an instrumented transport log into the per-step message
     multisets of the synchronous schedule, ordered as the simulator orders
     its steps.
 
     Step indices are recovered from tags (step s of a collective uses
     base + s) and phases from the communicator id embedded in the tag
-    (world = 0, inter-node groups 1..M, intra-node groups M+1..M+N).
+    (world, inter-node groups and intra-node groups each have one id).
     """
-    m_gpus = topo.gpus_per_node
-
-    def phase_of(comm_id):
-        if comm_id == 0:
-            return "flat"
-        return "inter" if comm_id <= m_gpus else "intra"
-
     buckets = {}
     for rec in log_records:
         comm_id = rec.tag // COLLECTIVE_TAGS_PER_COMM
         step = rec.tag % STEP_TAGS_PER_COLLECTIVE
-        key = (phase_of(comm_id), step)
+        key = (PHASE_OF_COMM_ID[comm_id], step)
         buckets.setdefault(key, []).append((rec.src, rec.dst, rec.nbytes))
     if algorithm == "hierarchical":
         phases = ("inter", "intra") if collective == "all_gather" else ("intra", "inter")

@@ -266,7 +266,7 @@ def test_criterion_7_schedule_fidelity():
             }[(collective, algorithm)]
             fn = lambda c: flat(c, inputs[c.rank])  # noqa: E731
         run_ranks(p, fn, transport=transport)
-        real_steps = replay_schedule(log.records, topo, collective, algorithm)
+        real_steps = replay_schedule(log.records, collective, algorithm)
 
         sim = simulate(
             SimConfig(topo=topo, params=CostParams()),

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
+from collkit.collectives import ring_all_gather, ring_reduce_scatter
 
 from collkit.errors import LengthMismatch, NonPowerOfTwo
 from collkit.hierarchy import (
     HierPlan,
+    _sub_communicators,
     hier_all_gather,
     hier_reduce_scatter,
     shuffle_global_to_local_major,
     shuffle_local_major_to_global,
 )
 from collkit.topology import Topology
-from collkit.transport import InProcessTransport
+from collkit.transport import Communicator, InProcessTransport
+from collkit.transport.base import MAX_COMM_ID
 from collkit.transport.inprocess import run_ranks
 
 
@@ -233,3 +237,80 @@ def test_hier_table_mode_uses_calibration():
         topo=topo_for(4, 2), inter_alg="auto", selector_mode="table", table=table
     )
     assert plan.resolve_inter(1 << 20) == "ring"
+
+
+# --- sub-communicators ------------------------------------------------------
+
+
+class StubEndpoint:
+    """Endpoint that only knows its rank; any traffic is a test failure."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def send(self, dst, tag, payload):
+        raise AssertionError("unexpected send")
+
+    def recv(self, src, tag):
+        raise AssertionError("unexpected recv")
+
+
+def test_sub_communicators_at_64_nodes_by_8_gpus():
+    topo = Topology(64, 8, 4)
+    plan = HierPlan(topo=topo, inter_alg="ring")
+    p, m = topo.world_size, topo.gpus_per_node
+    ids = set()
+    for g in range(p):
+        inter, intra = _sub_communicators(plan, Communicator(StubEndpoint(g), range(p)))
+        node, local = divmod(g, m)
+        assert inter.members == tuple(range(local, p, m))
+        assert intra.members == tuple(range(node * m, (node + 1) * m))
+        assert (inter.rank, intra.rank) == (node, local)
+        ids.add((inter.comm_id, intra.comm_id))
+    (inter_id, intra_id), = ids
+    assert len({0, inter_id, intra_id}) == 3  # distinct from each other and the world
+    assert max(inter_id, intra_id) <= MAX_COMM_ID
+
+
+# --- strided phases against the flat ring -------------------------------------
+
+
+@st.composite
+def hier_shapes(draw):
+    inter = draw(st.sampled_from(["ring", "recursive"]))
+    if inter == "recursive":
+        n_nodes = draw(st.sampled_from([1, 2, 4, 8]))
+    else:
+        n_nodes = draw(st.integers(1, 8))
+    m_gpus = draw(st.integers(1, 8 // n_nodes))
+    nics = draw(st.sampled_from([k for k in range(1, m_gpus + 1) if m_gpus % k == 0]))
+    block = draw(st.integers(0, 5))
+    return n_nodes, m_gpus, nics, block, inter
+
+
+@given(shape=hier_shapes(), seed=st.integers(0, 2**16))
+@example(shape=(1, 1, 1, 3, "ring"), seed=0)
+@example(shape=(1, 4, 2, 2, "recursive"), seed=1)
+@example(shape=(4, 1, 1, 2, "recursive"), seed=2)
+@example(shape=(2, 3, 3, 1, "ring"), seed=3)
+@example(shape=(3, 2, 1, 4, "ring"), seed=4)
+@example(shape=(2, 4, 2, 0, "recursive"), seed=5)
+@settings(deadline=None, max_examples=30)
+def test_hier_strided_phases_match_flat_ring_and_oracle(shape, seed):
+    n_nodes, m_gpus, nics, block, inter = shape
+    topo = Topology(n_nodes, m_gpus, nics)
+    p = topo.world_size
+    plan = HierPlan(topo=topo, inter_alg=inter)
+
+    ag_in = integer_inputs(p, block, seed)
+    hier = run_ranks(p, lambda c: hier_all_gather(plan, c, ag_in[c.rank]))
+    flat = run_ranks(p, lambda c: ring_all_gather(c, ag_in[c.rank]))
+    want = expected_all_gather(ag_in)
+    for h, f in zip(hier, flat):
+        assert h.tobytes() == f.tobytes() == want.tobytes()
+
+    rs_in = integer_inputs(p, block * p, seed + 1)
+    hier = run_ranks(p, lambda c: hier_reduce_scatter(plan, c, rs_in[c.rank]))
+    flat = run_ranks(p, lambda c: ring_reduce_scatter(c, rs_in[c.rank]))
+    for h, f, w in zip(hier, flat, expected_reduce_scatter(rs_in)):
+        assert h.tobytes() == f.tobytes() == w.tobytes()

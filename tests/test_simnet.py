@@ -281,7 +281,7 @@ def test_schedule_fidelity_against_instrumented_run(
     n_elems = 4
     m_bytes = p * n_elems * 4
     log = _inprocess_log(topo, collective, algorithm, inter_alg, n_elems)
-    real_steps = replay_schedule(log.records, topo, collective, algorithm)
+    real_steps = replay_schedule(log.records, collective, algorithm)
     sim = simulate(
         cfg(topo), collective, algorithm, m_bytes,
         inter_alg=inter_alg, record_messages=True,

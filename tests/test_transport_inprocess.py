@@ -1,3 +1,5 @@
+import struct
+import sys
 import threading
 import time
 
@@ -139,3 +141,37 @@ def test_bounded_in_flight_during_collective():
     inputs = [np.arange(8, dtype=np.float32) + r for r in range(4)]
     run_ranks(4, lambda c: ring_all_gather(c, inputs[c.rank]), transport=t)
     assert t.max_in_flight() <= 2
+
+
+def test_per_rank_wakeups_lose_no_message_under_contention():
+    # More rank threads than CPUs and a short switch interval: a send that
+    # woke the wrong rank, or no rank, would leave a receiver blocked.
+    p, rounds = 8, 60
+    t = InProcessTransport(p)
+    got = [[] for _ in range(p)]
+
+    def rank_main(r):
+        ep = t.endpoint(r)
+        for k in range(rounds):
+            for d in range(p):
+                if d != r:
+                    ep.send(d, k, struct.pack("<II", r, k))
+            for src in reversed(range(p)):
+                if src != r:
+                    got[r].append(struct.unpack("<II", ep.recv(src, k)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rank_main, args=(r,), daemon=True) for r in range(p)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 30
+        for th in threads:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for r in range(p):
+        want = [(src, k) for k in range(rounds) for src in reversed(range(p)) if src != r]
+        assert got[r] == want

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from collkit.collectives import ring_all_gather
-from collkit.errors import PeerUnreachable, SelfSend, Timeout
+from collkit.errors import LengthMismatch, PeerUnreachable, SelfSend, Timeout
 from collkit.transport import Communicator
 from collkit.transport.sockets import (
     FRAME_HEADER,
+    MAX_FRAME_PAYLOAD,
     HostEntry,
+    _send_parts,
     connect_local_mesh,
+    frame_header,
     parse_host_file,
     write_host_file,
 )
@@ -62,6 +65,62 @@ def test_frame_header_is_16_byte_little_endian():
     frame = FRAME_HEADER.pack(1, 2, 7, 12)
     assert len(frame) == 16
     assert struct.unpack("<IIII", frame) == (1, 2, 7, 12)
+
+
+class FakeHugePayload:
+    """Reports a length of 4 GiB without holding any bytes."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+def test_frame_length_limit_is_a_length_mismatch():
+    assert MAX_FRAME_PAYLOAD == (1 << 32) - 1
+    assert frame_header(1, 2, 7, MAX_FRAME_PAYLOAD - 3) == FRAME_HEADER.pack(
+        1, 2, 7, MAX_FRAME_PAYLOAD - 3
+    )
+    with pytest.raises(LengthMismatch):
+        frame_header(1, 2, 7, 1 << 32)
+
+
+def test_send_refuses_payload_past_frame_limit(mesh4):
+    with pytest.raises(LengthMismatch):
+        mesh4[0].send(1, 3, FakeHugePayload())
+
+
+class TrickleSocket:
+    """Accepts at most 5 bytes per gathered send."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def sendmsg(self, buffers):
+        chunk = b"".join(bytes(b) for b in buffers)[:5]
+        self.data += chunk
+        return len(chunk)
+
+
+def test_partial_gathered_sends_resume_where_they_stopped():
+    sock = TrickleSocket()
+    header = frame_header(0, 1, 2, 12)
+    payload = memoryview(np.arange(3, dtype=np.float32)).cast("B")
+    _send_parts(sock, (header, payload))
+    assert bytes(sock.data) == header + payload.tobytes()
+
+
+def test_memoryview_payloads_round_trip(mesh4):
+    data = np.arange(1 << 16, dtype=np.float32)
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send(1, 5, memoryview(data).cast("B"))
+            comm.send(1, 5, b"")
+        elif comm.rank == 1:
+            return np.frombuffer(comm.recv(0, 5), np.float32), comm.recv(0, 5)
+
+    got, empty = on_ranks(mesh4, fn)[1]
+    assert np.array_equal(got, data)
+    assert len(empty) == 0
 
 
 def test_round_trip_and_fifo(mesh4):
