@@ -4,7 +4,6 @@ simulator, and a benchmark harness."""
 
 from . import bench, collectives, costmodel, errors, hierarchy, simnet, topology, transport
 from .collectives import (
-    ReduceOp,
     recdbl_all_gather,
     rechalf_reduce_scatter,
     reduce_inplace,
@@ -29,9 +28,7 @@ from .hierarchy import (
 from .simnet import SimConfig, compare_policies, reduce_profile_gap, simulate
 from .topology import (
     GroupSpec,
-    RankId,
     Topology,
-    build_topology,
     inter_node_group,
     intra_node_group,
     nic_of,
@@ -49,7 +46,6 @@ __all__ = [
     "simnet",
     "topology",
     "transport",
-    "ReduceOp",
     "recdbl_all_gather",
     "rechalf_reduce_scatter",
     "reduce_inplace",
@@ -71,9 +67,7 @@ __all__ = [
     "reduce_profile_gap",
     "simulate",
     "GroupSpec",
-    "RankId",
     "Topology",
-    "build_topology",
     "inter_node_group",
     "intra_node_group",
     "nic_of",

@@ -146,17 +146,12 @@ def _collective_fn(config: SweepConfig, topo: Topology, inputs):
             return op(plan, comm, inputs[comm.rank])
 
         return fn
-    flat = {
-        ("all_gather", "ring"): collectives.ring_all_gather,
-        ("reduce_scatter", "ring"): collectives.ring_reduce_scatter,
-        ("all_gather", "recursive"): collectives.recdbl_all_gather,
-        ("reduce_scatter", "recursive"): collectives.rechalf_reduce_scatter,
-    }.get((collective, algorithm))
-    if flat is None:
+    if (collective, algorithm) not in collectives.SCHEDULES:
         raise Unsupported(f"no implementation for {collective}/{algorithm}")
+    flat = collectives.all_gather if collective == "all_gather" else collectives.reduce_scatter
 
     def fn(comm):
-        return flat(comm, inputs[comm.rank])
+        return flat(comm, algorithm, inputs[comm.rank])
 
     return fn
 

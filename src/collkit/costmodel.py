@@ -13,12 +13,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 
+from .collectives import is_power_of_two
 from .errors import EmptyTable, NonPowerOfTwo
 from .topology import Topology
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def t_ring(p: int, m_bytes: float, params: CostParams, level: str = "inter") -> 
 
 def t_rec(p: int, m_bytes: float, params: CostParams, level: str = "inter") -> float:
     """Modeled time of a p-rank recursive doubling/halving collective."""
-    if not _is_pow2(p):
+    if not is_power_of_two(p):
         raise NonPowerOfTwo(f"recursive algorithms require power-of-two p, got {p}")
     alpha, beta = params.alpha_beta(level)
     return alpha * math.log2(p) + beta * m_bytes * (p - 1) / p
@@ -188,7 +185,7 @@ def choose_inter_algorithm(
         return table.lookup(n_nodes, m_bytes)
     if mode != "analytic":
         raise ValueError(f"unknown selection mode {mode!r}")
-    if not _is_pow2(n_nodes):
+    if not is_power_of_two(n_nodes):
         return "ring"
     params = params or CostParams()
     ring = t_ring(n_nodes, m_bytes, params)

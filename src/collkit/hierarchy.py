@@ -13,6 +13,7 @@ recursive, or auto via the cost model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .collectives import (
 )
 from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible
 from .topology import Topology, inter_node_group, intra_node_group
-from .transport.base import Communicator
+
+if TYPE_CHECKING:
+    from .transport.base import Communicator
 
 INTER_ALGORITHMS = ("ring", "recursive", "auto")
 
@@ -35,25 +38,6 @@ INTER_ALGORITHMS = ("ring", "recursive", "auto")
 # groups are disjoint from each other, and so are intra-node groups, so
 # no two groups sharing an id share a (src, dst) channel.
 WORLD_COMM_ID, INTER_COMM_ID, INTRA_COMM_ID = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Describes how a buffer of ``block_count`` equal blocks is ordered:
-    ``global_rank_major`` (block g belongs to global rank g) or
-    ``local_major`` (blocks grouped by local rank, then by node)."""
-
-    block_count: int
-    block_len: int
-    ordering: str
-
-    def __post_init__(self) -> None:
-        if self.ordering not in ("global_rank_major", "local_major"):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-
-    @property
-    def total_elems(self) -> int:
-        return self.block_count * self.block_len
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Deterministic virtual-time network simulator.
 
-The simulator replays, in synchronous steps, the same message schedule the
-real collectives issue (same step structure, same per-message byte counts)
-and prices each step against modeled resources:
+The simulator prices, one synchronous step at a time, the step schedules
+of :mod:`collkit.collectives`: the very steps the real collectives execute,
+so both send the same messages in the same steps. Each step is priced
+against modeled resources:
 
 * every message charges ``alpha + beta * bytes`` (at its inter/intra level)
   to its source rank, which serializes that rank's message launches;
@@ -25,10 +26,12 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from . import costmodel
+from . import collectives
 from .costmodel import CostParams
-from .errors import ConfigMismatch, NonPowerOfTwo, NotDivisible, Unsupported
+from .errors import ConfigMismatch, NotDivisible, Unsupported
+from .hierarchy import INTER_ALGORITHMS, HierPlan
 from .topology import Topology, inter_node_group, intra_node_group
 
 NIC_POLICIES = ("balanced", "single_nic")
@@ -197,130 +200,52 @@ class StepCoster:
         return (max(busy.values(), default=0.0), recorded)
 
 
-# --- schedule generators -------------------------------------------------
+# --- schedules ---------------------------------------------------------------
 #
-# Each generator yields (messages, reductions) per synchronous step, with
+# A schedule yields (messages, reductions) per synchronous step, with
 # messages as (src_world, dst_world, nbytes) and reductions as
-# (rank_world, nbytes). These mirror the step structure of the real
-# implementations in collkit.collectives / collkit.hierarchy and are
-# checked against instrumented runs of those implementations.
+# (rank_world, nbytes). Its steps are the flat algorithms' steps from
+# collkit.collectives, the ones the real collectives execute, generated
+# one at a time and never kept.
 
 
-def _flat_ring_all_gather(members, block_bytes: int):
-    p = len(members)
-    for _ in range(p - 1):
-        yield (
-            [(members[r], members[(r + 1) % p], block_bytes) for r in range(p)],
-            [],
-        )
-
-
-def _flat_ring_reduce_scatter(members, block_bytes: int):
-    p = len(members)
-    for _ in range(p - 1):
-        yield (
-            [(members[r], members[(r + 1) % p], block_bytes) for r in range(p)],
-            [(members[r], block_bytes) for r in range(p)],
-        )
-
-
-def _flat_recdbl_all_gather(members, block_bytes: int):
-    p = len(members)
-    for k in range(p.bit_length() - 1):
-        width = 1 << k
-        yield (
-            [(members[r], members[r ^ width], width * block_bytes) for r in range(p)],
-            [],
-        )
-
-
-def _flat_rechalf_reduce_scatter(members, block_bytes: int):
-    p = len(members)
-    half = p // 2
-    while half >= 1:
-        yield (
-            [(members[r], members[r ^ half], half * block_bytes) for r in range(p)],
-            [(members[r], half * block_bytes) for r in range(p)],
-        )
-        half //= 2
-
-
-def _flat_schedule(collective: str, algorithm: str, members, m_bytes: int):
-    p = len(members)
+def _phase(collective: str, algorithm: str, groups, m_bytes: int):
+    """Steps of one flat algorithm over ``m_bytes``, run at once by every
+    group of ``groups`` (world-rank tuples of equal size): step i carries
+    each group's step-i messages and reductions, group by group."""
+    p = len(groups[0])
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     block = m_bytes // p
-    if p == 1:
-        return iter(())
-    if algorithm == "recursive" and p & (p - 1):
-        raise NonPowerOfTwo(f"recursive algorithms require power-of-two p, got {p}")
-    gen = {
-        ("all_gather", "ring"): _flat_ring_all_gather,
-        ("reduce_scatter", "ring"): _flat_ring_reduce_scatter,
-        ("all_gather", "recursive"): _flat_recdbl_all_gather,
-        ("reduce_scatter", "recursive"): _flat_rechalf_reduce_scatter,
-    }.get((collective, algorithm))
-    if gen is None:
-        raise Unsupported(f"no flat schedule for {collective}/{algorithm}")
-    return gen(members, block)
-
-
-def _merged_inter_phase(topo: Topology, collective: str, inter_alg: str, sub_m_bytes: int):
-    """Steps of the inter-node phase with all per-local-rank groups running
-    concurrently: step i carries every group's step-i messages."""
-    groups = [
-        inter_node_group(topo, j).members for j in range(topo.gpus_per_node)
-    ]
-    per_group = [
-        list(_flat_schedule(collective, inter_alg, g, sub_m_bytes)) for g in groups
-    ]
-    for steps in zip(*per_group):
+    reduces = collective == "reduce_scatter"
+    for step in collectives.schedule(collective, algorithm, p):
+        nbytes = step.width * block
         msgs: list = []
         reds: list = []
-        for m, r in steps:
-            msgs.extend(m)
-            reds.extend(r)
+        for g in groups:
+            msgs.extend(zip(g, [g[d] for d in step.to], repeat(nbytes)))
+            if reduces:
+                reds.extend(zip(g, repeat(nbytes)))
         yield msgs, reds
 
 
-def _intra_phase(topo: Topology, collective: str, per_node_m_bytes: int):
-    nodes = [intra_node_group(topo, n).members for n in range(topo.num_nodes)]
-    per_node = [
-        list(_flat_schedule(collective, "ring", g, per_node_m_bytes)) for g in nodes
-    ]
-    for steps in zip(*per_node):
-        msgs: list = []
-        reds: list = []
-        for m, r in steps:
-            msgs.extend(m)
-            reds.extend(r)
-        yield msgs, reds
-
-
-def _hier_schedule(
-    config: SimConfig, collective: str, inter_alg: str, m_bytes: int
-):
+def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: int):
     topo = config.topo
     p = topo.world_size
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    if inter_alg == "auto":
-        inter_alg = (
-            costmodel.choose_inter_algorithm(
-                topo.num_nodes, m_bytes // topo.gpus_per_node, config.params
-            )
-            if topo.num_nodes >= 2
-            else "ring"
-        )
-    if inter_alg not in ("ring", "recursive"):
+    if inter_alg not in INTER_ALGORITHMS:
         raise Unsupported(f"unknown inter algorithm {inter_alg!r}")
     sub_m = m_bytes // topo.gpus_per_node
+    inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
+    inter = [inter_node_group(topo, j).members for j in range(topo.gpus_per_node)]
+    intra = [intra_node_group(topo, n).members for n in range(topo.num_nodes)]
     if collective == "all_gather":
-        yield from _merged_inter_phase(topo, collective, inter_alg, sub_m)
-        yield from _intra_phase(topo, collective, m_bytes)
+        yield from _phase(collective, inter_alg, inter, sub_m)
+        yield from _phase(collective, "ring", intra, m_bytes)
     else:
-        yield from _intra_phase(topo, collective, m_bytes)
-        yield from _merged_inter_phase(topo, collective, inter_alg, sub_m)
+        yield from _phase(collective, "ring", intra, m_bytes)
+        yield from _phase(collective, inter_alg, inter, sub_m)
 
 
 def build_schedule(
@@ -341,8 +266,7 @@ def build_schedule(
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if algorithm == "hierarchical":
         return _hier_schedule(config, collective, inter_alg, m_bytes)
-    members = tuple(range(config.topo.world_size))
-    return _flat_schedule(collective, algorithm, members, m_bytes)
+    return _phase(collective, algorithm, [tuple(range(config.topo.world_size))], m_bytes)
 
 
 def simulate(

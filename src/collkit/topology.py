@@ -64,54 +64,22 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class RankId:
-    """A global rank together with its derived (node, local) coordinates."""
-
-    global_rank: int
-    node: int
-    local: int
-
-    @classmethod
-    def of(cls, topo: Topology, global_rank: int) -> "RankId":
-        topo.check_rank(global_rank)
-        return cls(
-            global_rank=global_rank,
-            node=topo.node_of(global_rank),
-            local=topo.local_of(global_rank),
-        )
-
-
-@dataclass(frozen=True)
 class GroupSpec:
     """An ordered group of global ranks forming a sub-communicator.
 
-    ``kind`` is one of ``"world"``, ``"inter_node"`` (one rank per node, all
-    sharing the same local index), or ``"intra_node"`` (all ranks of one
-    node). ``index`` is the local rank for inter-node groups and the node
-    for intra-node groups; ``None`` for the world group.
+    ``kind`` is ``"inter_node"`` (one rank per node, all sharing the same
+    local index) or ``"intra_node"`` (all ranks of one node). ``index`` is
+    the local rank for inter-node groups and the node for intra-node
+    groups.
     """
 
     kind: str
-    index: int | None
+    index: int
     members: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def build_topology(num_nodes: int, gpus_per_node: int, nics_per_node: int) -> Topology:
-    """Validate and construct a :class:`Topology`.
-
-    Raises:
-        InvalidTopology: if any count is < 1 or the NIC count does not
-            divide the GPU count.
-    """
-    return Topology(num_nodes, gpus_per_node, nics_per_node)
-
-
-def world_group(topo: Topology) -> GroupSpec:
-    return GroupSpec("world", None, tuple(range(topo.world_size)))
 
 
 def inter_node_group(topo: Topology, local_rank: int) -> GroupSpec:
@@ -135,8 +103,7 @@ def intra_node_group(topo: Topology, node: int) -> GroupSpec:
     return GroupSpec("intra_node", node, tuple(range(base, base + topo.gpus_per_node)))
 
 
-def nic_of(topo: Topology, rank: int | RankId) -> int:
+def nic_of(topo: Topology, rank: int) -> int:
     """NIC index serving a rank: local ranks are assigned to NICs in
     consecutive blocks of ``gpus_per_node // nics_per_node``."""
-    local = rank.local if isinstance(rank, RankId) else topo.local_of(rank)
-    return local // topo.gpus_per_nic
+    return topo.local_of(rank) // topo.gpus_per_nic

@@ -2,7 +2,7 @@
 deterministic virtual-time backend. All expose the same endpoint contract
 (exactly-once, order-preserving delivery per (src, dst, tag) channel)."""
 
-from .base import ChannelStore, Communicator, Message, MessageLog
+from .base import ChannelStore, Communicator, MessageLog
 from .inprocess import InProcessEndpoint, InProcessTransport, run_ranks
 from .simulated import VirtualEndpoint, VirtualTransport, run_ranks_virtual
 from .sockets import (
@@ -16,7 +16,6 @@ from .sockets import (
 __all__ = [
     "ChannelStore",
     "Communicator",
-    "Message",
     "MessageLog",
     "InProcessEndpoint",
     "InProcessTransport",

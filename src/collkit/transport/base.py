@@ -18,7 +18,7 @@ import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from ..errors import LengthMismatch, SelfSend
+from ..errors import LengthMismatch, SelfSend, Unsupported
 
 # Tag namespace layout. Each communicator owns a tag range derived from its
 # id; each collective invocation on a communicator draws a fresh base tag
@@ -26,24 +26,6 @@ from ..errors import LengthMismatch, SelfSend
 STEP_TAGS_PER_COLLECTIVE = 1 << 13
 COLLECTIVE_TAGS_PER_COMM = 1 << 26
 MAX_COMM_ID = (1 << 32) // COLLECTIVE_TAGS_PER_COMM - 1
-
-
-@dataclass(frozen=True)
-class Message:
-    """A tagged point-to-point payload between two world ranks."""
-
-    src: int
-    dst: int
-    tag: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        if self.tag < 0:
-            raise ValueError(f"tag must be >= 0, got {self.tag}")
-        if len(self.payload) % 4 != 0:
-            raise LengthMismatch(
-                f"payload length {len(self.payload)} is not a multiple of 4"
-            )
 
 
 def check_payload(src: int, dst: int, tag: int, payload) -> None:
@@ -136,10 +118,16 @@ class Communicator:
     def size(self) -> int:
         return len(self.members)
 
-    def next_base_tag(self) -> int:
-        """Fresh tag block for one collective invocation. All members call
-        collectives in the same order, so the per-communicator sequence
-        numbers agree across ranks without coordination."""
+    def next_base_tag(self, steps: int = 1) -> int:
+        """Fresh tag block for one collective invocation of ``steps``
+        steps. All members call collectives in the same order, so the
+        per-communicator sequence numbers agree across ranks without
+        coordination. A collective with more steps than a block holds is
+        refused before the block is drawn."""
+        if steps > STEP_TAGS_PER_COLLECTIVE:
+            raise Unsupported(
+                f"{steps} steps exceed the {STEP_TAGS_PER_COLLECTIVE} tags of one collective"
+            )
         seq = self._next_seq
         self._next_seq += 1
         seq %= COLLECTIVE_TAGS_PER_COMM // STEP_TAGS_PER_COLLECTIVE

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from collkit.collectives import (
-    ReduceOp,
     recdbl_all_gather,
     rechalf_reduce_scatter,
     reduce_inplace,
@@ -61,10 +60,6 @@ def test_reduce_inplace_matches_scalar_loop():
 def test_reduce_inplace_length_mismatch():
     with pytest.raises(LengthMismatch):
         reduce_inplace(np.zeros(3, np.float32), np.zeros(4, np.float32))
-
-
-def test_reduce_op_is_sum_only():
-    assert ReduceOp.SUM.value == "sum"
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16])

@@ -132,15 +132,6 @@ def test_plan_collective_field_is_enforced():
         HierPlan(topo=topo_for(2, 2), collective="broadcast")
 
 
-def test_block_layout_describes_orderings():
-    from collkit.hierarchy import BlockLayout
-
-    layout = BlockLayout(block_count=8, block_len=16, ordering="local_major")
-    assert layout.total_elems == 128
-    with pytest.raises(ValueError):
-        BlockLayout(block_count=8, block_len=16, ordering="diagonal")
-
-
 # --- collectives ----------------------------------------------------------
 
 

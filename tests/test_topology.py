@@ -2,74 +2,65 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collkit.errors import IndexOutOfRange, InvalidTopology
-from collkit.topology import (
-    RankId,
-    Topology,
-    build_topology,
-    inter_node_group,
-    intra_node_group,
-    nic_of,
-    world_group,
-)
+from collkit.topology import Topology, inter_node_group, intra_node_group, nic_of
 
 
 def test_build_singleton():
-    topo = build_topology(1, 1, 1)
+    topo = Topology(1, 1, 1)
     assert topo.world_size == 1
 
 
 def test_build_two_nodes_eight_gpus_four_nics():
-    topo = build_topology(2, 8, 4)
+    topo = Topology(2, 8, 4)
     assert topo.world_size == 16
     assert topo.gpus_per_nic == 2
 
 
 def test_build_rejects_indivisible_nics():
     with pytest.raises(InvalidTopology):
-        build_topology(2, 8, 3)
+        Topology(2, 8, 3)
 
 
 @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 2, 1)])
 def test_build_rejects_nonpositive(counts):
     with pytest.raises(InvalidTopology):
-        build_topology(*counts)
+        Topology(*counts)
 
 
 def test_inter_node_group_members():
-    topo = build_topology(2, 2, 1)
+    topo = Topology(2, 2, 1)
     assert inter_node_group(topo, 0).members == (0, 2)
     assert inter_node_group(topo, 1).members == (1, 3)
 
 
 def test_inter_node_group_rejects_bad_local():
-    topo = build_topology(3, 2, 1)
+    topo = Topology(3, 2, 1)
     with pytest.raises(IndexOutOfRange):
         inter_node_group(topo, 2)
 
 
 def test_intra_node_group_members():
-    assert intra_node_group(build_topology(2, 2, 1), 1).members == (2, 3)
-    assert intra_node_group(build_topology(1, 4, 1), 0).members == (0, 1, 2, 3)
+    assert intra_node_group(Topology(2, 2, 1), 1).members == (2, 3)
+    assert intra_node_group(Topology(1, 4, 1), 0).members == (0, 1, 2, 3)
 
 
 def test_intra_node_group_rejects_bad_node():
     with pytest.raises(IndexOutOfRange):
-        intra_node_group(build_topology(2, 2, 1), 2)
+        intra_node_group(Topology(2, 2, 1), 2)
 
 
 def test_nic_of_blocked_assignment():
-    topo = build_topology(1, 8, 4)
+    topo = Topology(1, 8, 4)
     assert nic_of(topo, 1) == 0
     assert nic_of(topo, 7) == 3
-    single = build_topology(1, 4, 1)
+    single = Topology(1, 4, 1)
     assert nic_of(single, 3) == 0
 
 
 def test_rank_id_coordinates():
-    topo = build_topology(3, 4, 2)
-    rid = RankId.of(topo, 7)
-    assert (rid.node, rid.local) == (1, 3)
-    assert nic_of(topo, rid) == 1
+    topo = Topology(3, 4, 2)
+    assert (topo.node_of(7), topo.local_of(7)) == (1, 3)
+    assert nic_of(topo, 7) == 1
 
 
 small_topos = st.builds(
@@ -84,7 +75,7 @@ small_topos = st.builds(
 def test_groups_partition_world(topo):
     inter = [inter_node_group(topo, j).members for j in range(topo.gpus_per_node)]
     intra = [intra_node_group(topo, n).members for n in range(topo.num_nodes)]
-    world = set(world_group(topo).members)
+    world = set(range(topo.world_size))
     for family in (inter, intra):
         seen = [r for members in family for r in members]
         assert len(seen) == len(set(seen)) == topo.world_size

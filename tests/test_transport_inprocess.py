@@ -52,14 +52,13 @@ def test_payload_must_be_whole_elements():
 
 
 def test_message_invariants():
-    from collkit.transport import Message
+    from collkit.transport.base import check_payload
 
-    msg = Message(src=0, dst=1, tag=3, payload=b"abcd")
-    assert (msg.src, msg.dst, msg.tag) == (0, 1, 3)
+    check_payload(0, 1, 3, b"abcd")
     with pytest.raises(LengthMismatch):
-        Message(src=0, dst=1, tag=0, payload=b"abc")
+        check_payload(0, 1, 0, b"abc")
     with pytest.raises(ValueError):
-        Message(src=0, dst=1, tag=-1, payload=b"")
+        check_payload(0, 1, -1, b"")
 
 
 def test_recv_posted_before_send():
