@@ -91,8 +91,7 @@ def t_hierarchical(
     transpose is modeled as free."""
     n, m_gpus = topo.num_nodes, topo.gpus_per_node
     sub_m = m_bytes / m_gpus
-    if inter_alg == "auto":
-        inter_alg = choose_inter_algorithm(n, sub_m, params) if n >= 2 else "ring"
+    inter_alg = resolve_inter_algorithm(inter_alg, n, sub_m, params)
     if inter_alg == "ring":
         inter = t_ring(n, sub_m, params, level="inter")
     elif inter_alg == "recursive":
@@ -161,6 +160,24 @@ class CalibrationTable:
                     )
                 )
         return table
+
+
+def resolve_inter_algorithm(
+    inter_alg: str,
+    n_nodes: int,
+    m_bytes: float,
+    params: CostParams | None = None,
+    mode: str = "analytic",
+    table: CalibrationTable | None = None,
+) -> str:
+    """The inter-node algorithm ``inter_alg`` stands for: itself, unless it
+    is "auto", which is ring below 2 nodes and otherwise the choice of
+    :func:`choose_inter_algorithm`."""
+    if inter_alg != "auto":
+        return inter_alg
+    if n_nodes < 2:
+        return "ring"
+    return choose_inter_algorithm(n_nodes, m_bytes, params, mode=mode, table=table)
 
 
 def choose_inter_algorithm(

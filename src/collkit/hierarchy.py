@@ -26,7 +26,7 @@ from .collectives import (
     ring_all_gather,
     ring_reduce_scatter,
 )
-from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible
+from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible, Unsupported
 from .topology import Topology, inter_node_group, intra_node_group
 
 if TYPE_CHECKING:
@@ -58,9 +58,9 @@ class HierPlan:
 
     def __post_init__(self) -> None:
         if self.inter_alg not in INTER_ALGORITHMS:
-            raise ValueError(f"inter_alg must be one of {INTER_ALGORITHMS}")
+            raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
         if self.collective not in (None, "all_gather", "reduce_scatter"):
-            raise ValueError(f"unknown collective {self.collective!r}")
+            raise Unsupported(f"unknown collective {self.collective!r}")
         if self.inter_alg == "recursive" and not is_power_of_two(self.topo.num_nodes):
             raise NonPowerOfTwo(
                 f"recursive inter-node algorithm requires a power-of-two node "
@@ -70,11 +70,8 @@ class HierPlan:
     def resolve_inter(self, sub_m_bytes: int) -> str:
         """Concrete inter-node algorithm for a sub-collective of
         ``sub_m_bytes`` (the gathered output / reduced input size)."""
-        if self.inter_alg != "auto":
-            return self.inter_alg
-        if self.topo.num_nodes < 2:
-            return "ring"
-        return costmodel.choose_inter_algorithm(
+        return costmodel.resolve_inter_algorithm(
+            self.inter_alg,
             self.topo.num_nodes,
             sub_m_bytes,
             self.params,
@@ -138,7 +135,7 @@ def hier_all_gather(plan: HierPlan, comm_world: Communicator, buf) -> np.ndarray
     """Hierarchical all-gather; output is identical to a flat
     :func:`collkit.collectives.ring_all_gather` on the world communicator."""
     if plan.collective == "reduce_scatter":
-        raise ValueError("plan is configured for reduce_scatter")
+        raise Unsupported("plan is configured for reduce_scatter")
     src = as_elements(buf)
     topo = plan.topo
     n_nodes, m_gpus = topo.num_nodes, topo.gpus_per_node
@@ -161,7 +158,7 @@ def hier_reduce_scatter(plan: HierPlan, comm_world: Communicator, buf) -> np.nda
     :func:`collkit.collectives.ring_reduce_scatter` on the world
     communicator."""
     if plan.collective == "all_gather":
-        raise ValueError("plan is configured for all_gather")
+        raise Unsupported("plan is configured for all_gather")
     src = as_elements(buf)
     topo = plan.topo
     n_nodes, m_gpus = topo.num_nodes, topo.gpus_per_node

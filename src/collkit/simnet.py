@@ -18,20 +18,26 @@ A step's makespan is the maximum busy time over all resources touched in
 that step; virtual time is the sum of step makespans. Intra-node traffic
 never touches NICs or links. NIC byte/packet counters accumulate per NIC
 index (summed over nodes); packets are ``ceil(bytes / packet_bytes)``.
+
+Steps are numpy arrays, priced without a per-message Python loop. Results
+stay exact because every busy time is summed sequentially, in message
+order, by ``np.bincount``: the very additions, in the very order, of a
+message-by-message loop, so the seconds are bit-identical to one.
+Counters are integer sums. Virtual time adds up the step makespans in a
+Python loop, in step order.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+
+import numpy as np
 
 from . import collectives
 from .costmodel import CostParams
-from .errors import ConfigMismatch, NotDivisible, Unsupported
-from .hierarchy import INTER_ALGORITHMS, HierPlan
+from .errors import ConfigMismatch, LengthMismatch, NotDivisible, Unsupported
+from .hierarchy import HierPlan
 from .topology import Topology, inter_node_group, intra_node_group
 
 NIC_POLICIES = ("balanced", "single_nic")
@@ -52,11 +58,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.nic_policy not in NIC_POLICIES:
-            raise ValueError(f"nic_policy must be one of {NIC_POLICIES}")
+            raise Unsupported(f"nic_policy must be one of {NIC_POLICIES}")
         if self.phys_topology not in PHYS_TOPOLOGIES:
-            raise ValueError(f"phys_topology must be one of {PHYS_TOPOLOGIES}")
+            raise Unsupported(f"phys_topology must be one of {PHYS_TOPOLOGIES}")
         if self.reduce_profile not in REDUCE_PROFILES:
-            raise ValueError(f"reduce_profile must be one of {REDUCE_PROFILES}")
+            raise Unsupported(f"reduce_profile must be one of {REDUCE_PROFILES}")
 
 
 @dataclass
@@ -142,15 +148,29 @@ class StepCoster:
         self.gamma = config.params.gamma(config.reduce_profile)
         self.counters = NicCounters(nics=self.topo.nics_per_node)
 
-    def _nics_for(self, src: int, dst: int) -> tuple[int, int]:
+    def _nics_for(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         topo = self.topo
         if self.config.nic_policy == "single_nic":
             # All writes leave through NIC 0, all reads arrive at NIC K-1.
-            return 0, topo.nics_per_node - 1
-        return (
-            topo.local_of(src) // topo.gpus_per_nic,
-            topo.local_of(dst) // topo.gpus_per_nic,
-        )
+            return np.zeros_like(src), np.full_like(dst, topo.nics_per_node - 1)
+        m, per_nic = topo.gpus_per_node, topo.gpus_per_nic
+        return src % m // per_nic, dst % m // per_nic
+
+    def _count(self, nic_src: np.ndarray, nic_dst: np.ndarray, nbytes: np.ndarray) -> None:
+        """Adds a step's inter-node bytes and packets to the NIC counters,
+        in exact integer arithmetic."""
+        c = self.counters
+        pkts = -(-nbytes // self.params.packet_bytes)
+        for totals, nics, amounts in (
+            (c.bytes_out, nic_src, nbytes),
+            (c.non_posted_pkts, nic_src, pkts),
+            (c.bytes_in, nic_dst, nbytes),
+            (c.posted_pkts, nic_dst, pkts),
+        ):
+            step = np.zeros(c.nics, dtype=np.int64)
+            np.add.at(step, nics, amounts)
+            for nic, amount in enumerate(step.tolist()):
+                totals[nic] += amount
 
     def charge_step(
         self,
@@ -159,74 +179,121 @@ class StepCoster:
         record: bool = False,
     ) -> tuple[float, list[dict] | None]:
         """Charge one step of ``(src, dst, nbytes)`` messages and
-        ``(rank, nbytes)`` reductions; returns (makespan, records)."""
+        ``(rank, nbytes)`` reductions, given as sequences of tuples or as
+        ``(k, 3)`` and ``(k, 2)`` integer arrays; returns (makespan, records).
+
+        Each resource's busy time is a ``np.bincount`` over the step's
+        messages, which adds their charges one by one in message order."""
         topo = self.topo
         params = self.params
-        pkt = params.packet_bytes
-        busy: dict[tuple, float] = defaultdict(float)
-        recorded: list[dict] | None = [] if record else None
-        for src, dst, nbytes in messages:
-            src_node, dst_node = topo.node_of(src), topo.node_of(dst)
-            if src_node == dst_node:
-                busy[("rank_net", src)] += params.alpha_intra + params.beta_intra * nbytes
-                nic_src = nic_dst = None
-            else:
-                busy[("rank_net", src)] += params.alpha_inter + params.beta_inter * nbytes
-                nic_src, nic_dst = self._nics_for(src, dst)
-                wire = params.beta_inter * nbytes
-                busy[("nic_out", src_node, nic_src)] += wire
-                busy[("nic_in", dst_node, nic_dst)] += wire
-                if self.config.phys_topology == "ring_of_nodes":
-                    for a, b in ring_hops(topo.num_nodes, src_node, dst_node):
-                        busy[("link", a, b)] += wire
-                pkts = math.ceil(nbytes / pkt) if nbytes else 0
-                c = self.counters
-                c.bytes_out[nic_src] += nbytes
-                c.non_posted_pkts[nic_src] += pkts
-                c.bytes_in[nic_dst] += nbytes
-                c.posted_pkts[nic_dst] += pkts
-            if recorded is not None:
-                recorded.append(
-                    {
-                        "src": src,
-                        "dst": dst,
-                        "bytes": nbytes,
-                        "nic_src": nic_src,
-                        "nic_dst": nic_dst,
-                    }
-                )
-        for rank, nbytes in reductions:
-            busy[("rank_reduce", rank)] += self.gamma * nbytes
-        return (max(busy.values(), default=0.0), recorded)
+        msgs = np.asarray(messages, dtype=np.int64).reshape(-1, 3)
+        reds = np.asarray(reductions, dtype=np.int64).reshape(-1, 2)
+        src, dst, nbytes = msgs.T
+        _check_step(topo, msgs, reds)
+        node_size, nics = topo.gpus_per_node, topo.nics_per_node
+        src_node, dst_node = src // node_size, dst // node_size
+        inter = src_node != dst_node
+        busy = [
+            np.bincount(
+                src,
+                np.where(
+                    inter,
+                    params.alpha_inter + params.beta_inter * nbytes,
+                    params.alpha_intra + params.beta_intra * nbytes,
+                ),
+            ),
+            np.bincount(reds[:, 0], self.gamma * reds[:, 1]),
+        ]
+        idx = np.flatnonzero(inter)
+        i_src_node, i_dst_node, i_bytes = src_node[idx], dst_node[idx], nbytes[idx]
+        nic_src, nic_dst = self._nics_for(src[idx], dst[idx])
+        wire = params.beta_inter * i_bytes
+        busy.append(np.bincount(i_src_node * nics + nic_src, wire))
+        busy.append(np.bincount(i_dst_node * nics + nic_dst, wire))
+        if self.config.phys_topology == "ring_of_nodes":
+            owner, a, b = ring_links(topo.num_nodes, i_src_node, i_dst_node)
+            # Link a -> a+1 is id 2a, link a -> a-1 is id 2a+1.
+            link = 2 * a + (b != (a + 1) % topo.num_nodes)
+            busy.append(np.bincount(link, wire[owner]))
+        self._count(nic_src, nic_dst, i_bytes)
+        makespan = max((float(b.max()) for b in busy if b.size), default=0.0)
+        if not record:
+            return makespan, None
+        nics_src, nics_dst = [None] * len(msgs), [None] * len(msgs)
+        for i, s, d in zip(idx.tolist(), nic_src.tolist(), nic_dst.tolist()):
+            nics_src[i], nics_dst[i] = s, d
+        recorded = [
+            {"src": s, "dst": d, "bytes": b, "nic_src": ns, "nic_dst": nd}
+            for s, d, b, ns, nd in zip(
+                src.tolist(), dst.tolist(), nbytes.tolist(), nics_src, nics_dst
+            )
+        ]
+        return makespan, recorded
+
+
+def _check_step(topo: Topology, msgs: np.ndarray, reds: np.ndarray) -> None:
+    """One bounds check per step: every rank in range, no negative size.
+    The last column of each array is a size, the others are ranks."""
+    world = topo.world_size
+    for rows in (msgs, reds):
+        if not rows.size:
+            continue
+        ranks = rows[:, :-1]
+        if rows.min() < 0 or max(column.max() for column in ranks.T) >= world:
+            bad = ranks[(ranks < 0) | (ranks >= world)]
+            if bad.size:
+                topo.check_rank(int(bad[0]))
+            raise LengthMismatch(f"negative byte count {int(rows[:, -1].min())}")
+
+
+def ring_links(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
+    """:func:`ring_hops` of every (src_node[i], dst_node[i]) at once, as
+    arrays ``(owner, a, b)``: hop j runs over link ``a[j] -> b[j]`` for
+    message ``owner[j]``, message by message and in path order."""
+    up = (dst_node - src_node) % n_nodes
+    down = (src_node - dst_node) % n_nodes
+    ascending = up <= down
+    length = np.where(ascending, up, down)
+    owner = np.repeat(np.arange(len(length)), length)
+    first = np.cumsum(length) - length
+    offset = np.arange(len(owner)) - first[owner]
+    direction = np.where(ascending, 1, -1)[owner]
+    a = (src_node[owner] + direction * offset) % n_nodes
+    return owner, a, (a + direction) % n_nodes
 
 
 # --- schedules ---------------------------------------------------------------
 #
-# A schedule yields (messages, reductions) per synchronous step, with
-# messages as (src_world, dst_world, nbytes) and reductions as
-# (rank_world, nbytes). Its steps are the flat algorithms' steps from
+# A schedule yields (messages, reductions) per synchronous step: a (k, 3)
+# int64 array of (src_world, dst_world, nbytes) rows and a (k, 2) array of
+# (rank_world, nbytes) rows. Its steps are the flat algorithms' steps from
 # collkit.collectives, the ones the real collectives execute, generated
 # one at a time and never kept.
+
+_NO_REDUCTIONS = np.empty((0, 2), dtype=np.int64)
 
 
 def _phase(collective: str, algorithm: str, groups, m_bytes: int):
     """Steps of one flat algorithm over ``m_bytes``, run at once by every
     group of ``groups`` (world-rank tuples of equal size): step i carries
     each group's step-i messages and reductions, group by group."""
-    p = len(groups[0])
+    members = np.array(groups, dtype=np.int64)
+    p = members.shape[1]
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     block = m_bytes // p
     reduces = collective == "reduce_scatter"
+    to = None
     for step in collectives.schedule(collective, algorithm, p):
-        nbytes = step.width * block
-        msgs: list = []
-        reds: list = []
-        for g in groups:
-            msgs.extend(zip(g, [g[d] for d in step.to], repeat(nbytes)))
-            if reduces:
-                reds.extend(zip(g, repeat(nbytes)))
-        yield msgs, reds
+        if step.to is not to:
+            # A ring reuses one ``to`` tuple for all its steps.
+            to = step.to
+            dst = members[:, np.array(to)]
+        msgs = np.empty((members.size, 3), dtype=np.int64)
+        msgs[:, 0] = members.reshape(-1)
+        msgs[:, 1] = dst.reshape(-1)
+        msgs[:, 2] = step.width * block
+        yield msgs, msgs[:, ::2] if reduces else _NO_REDUCTIONS
 
 
 def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: int):
@@ -234,8 +301,6 @@ def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: 
     p = topo.world_size
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    if inter_alg not in INTER_ALGORITHMS:
-        raise Unsupported(f"unknown inter algorithm {inter_alg!r}")
     sub_m = m_bytes // topo.gpus_per_node
     inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
     inter = [inter_node_group(topo, j).members for j in range(topo.gpus_per_node)]
@@ -296,7 +361,7 @@ def simulate(
                 index=index,
                 makespan=makespan,
                 message_count=len(messages),
-                bytes_total=sum(m[2] for m in messages),
+                bytes_total=int(messages[:, 2].sum()),
                 reduction_count=len(reductions),
                 messages=recorded,
             )

@@ -100,6 +100,14 @@ def test_sweep_socket_requires_rank_and_hostfile(capsys, monkeypatch):
     assert "hostfile" in capsys.readouterr().err
 
 
+def test_config_file_enum_typo_is_a_clean_error(tmp_path, capsys):
+    config = tmp_path / "bench.cfg"
+    config.write_text("backend = sim\nsizes = 1M\ngrid = 2x2\nnic_policy = bogus\n")
+    rc = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "nic_policy" in capsys.readouterr().err
+
+
 def test_config_topology_keys_form_single_cell_grid(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text(

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
 from collkit.collectives import ring_all_gather, ring_reduce_scatter
 
-from collkit.errors import LengthMismatch, NonPowerOfTwo
+from collkit.errors import LengthMismatch, NonPowerOfTwo, Unsupported
 from collkit.hierarchy import (
     HierPlan,
     _sub_communicators,
@@ -119,16 +119,16 @@ def test_plan_auto_resolution():
 
 
 def test_plan_rejects_unknown_inter():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         HierPlan(topo=topo_for(2, 2), inter_alg="tree")
 
 
 def test_plan_collective_field_is_enforced():
     plan = HierPlan(topo=topo_for(2, 2), collective="all_gather")
     inputs = integer_inputs(4, 8, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         run_ranks(4, lambda c: hier_reduce_scatter(plan, c, inputs[c.rank]))
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         HierPlan(topo=topo_for(2, 2), collective="broadcast")
 
 

@@ -1,22 +1,33 @@
 import dataclasses
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from conftest import replay_schedule, simulated_step_multisets
+from hypothesis import given, settings, strategies as st
 
 from collkit import collectives
 from collkit.costmodel import CostParams, t_rec, t_ring
-from collkit.errors import ConfigMismatch, NonPowerOfTwo, NotDivisible, Unsupported
+from collkit.errors import (
+    ConfigMismatch,
+    IndexOutOfRange,
+    LengthMismatch,
+    NonPowerOfTwo,
+    NotDivisible,
+    Unsupported,
+)
 from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.simnet import (
+    NicCounters,
     SimConfig,
     StepCoster,
     compare_policies,
     counters_to_csv,
     reduce_profile_gap,
     ring_hops,
+    ring_links,
     simulate,
     trace_to_jsonl,
 )
@@ -36,6 +47,122 @@ def test_single_message_charge():
     makespan, _ = coster.charge_step([(0, 1, m)])
     params = config.params
     assert makespan == params.alpha_inter + params.beta_inter * m
+
+
+def scalar_charge_step(config, counters, messages, reductions):
+    """Reference pricer: one message at a time into a dict of busy times,
+    kept as an independent oracle for ``StepCoster.charge_step``."""
+    topo, params = config.topo, config.params
+    gamma = params.gamma(config.reduce_profile)
+    busy = defaultdict(float)
+    recorded = []
+    for src, dst, nbytes in messages:
+        src_node, dst_node = topo.node_of(src), topo.node_of(dst)
+        if src_node == dst_node:
+            busy[("rank_net", src)] += params.alpha_intra + params.beta_intra * nbytes
+            nic_src = nic_dst = None
+        else:
+            busy[("rank_net", src)] += params.alpha_inter + params.beta_inter * nbytes
+            if config.nic_policy == "single_nic":
+                nic_src, nic_dst = 0, topo.nics_per_node - 1
+            else:
+                nic_src = topo.local_of(src) // topo.gpus_per_nic
+                nic_dst = topo.local_of(dst) // topo.gpus_per_nic
+            wire = params.beta_inter * nbytes
+            busy[("nic_out", src_node, nic_src)] += wire
+            busy[("nic_in", dst_node, nic_dst)] += wire
+            if config.phys_topology == "ring_of_nodes":
+                for a, b in ring_hops(topo.num_nodes, src_node, dst_node):
+                    busy[("link", a, b)] += wire
+            pkts = math.ceil(nbytes / params.packet_bytes) if nbytes else 0
+            counters.bytes_out[nic_src] += nbytes
+            counters.non_posted_pkts[nic_src] += pkts
+            counters.bytes_in[nic_dst] += nbytes
+            counters.posted_pkts[nic_dst] += pkts
+        recorded.append(
+            {"src": src, "dst": dst, "bytes": nbytes, "nic_src": nic_src, "nic_dst": nic_dst}
+        )
+    for rank, nbytes in reductions:
+        busy[("rank_reduce", rank)] += gamma * nbytes
+    return max(busy.values(), default=0.0), recorded
+
+
+@st.composite
+def priced_steps(draw):
+    """A random machine and config, and a few steps of messages and
+    reductions between its ranks: repeated senders, zero sizes, intra- and
+    inter-node traffic. Hypothesis picks the shapes; a seeded generator
+    fills in costs and sizes with full mantissas, so that summing charges
+    in another order would change the last bits of a busy time."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    topo = Topology(draw(st.integers(1, 9)), m, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = CostParams(
+        alpha_inter=rng.uniform(0, 1e-4),
+        beta_inter=rng.uniform(0, 1e-9),
+        alpha_intra=rng.uniform(0, 1e-5),
+        beta_intra=rng.uniform(0, 1e-10),
+        packet_bytes=int(rng.integers(1, 5000)),
+    )
+    config = SimConfig(
+        topo=topo,
+        params=params,
+        nic_policy=draw(st.sampled_from(["balanced", "single_nic"])),
+        phys_topology=draw(st.sampled_from(["fully_connected", "ring_of_nodes"])),
+        reduce_profile=draw(st.sampled_from(["fast", "slow"])),
+    )
+    senders = rng.choice(topo.world_size, size=draw(st.integers(1, topo.world_size)))
+
+    def sizes(n):
+        return np.where(rng.random(n) < 0.2, 0, rng.integers(1, 1 << 26, n)).tolist()
+
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_msgs, n_reds = draw(st.integers(0, 64)), draw(st.integers(0, 10))
+        src = rng.choice(senders, n_msgs).tolist()
+        dst = rng.integers(0, topo.world_size, n_msgs).tolist()
+        reds = rng.integers(0, topo.world_size, n_reds).tolist()
+        steps.append((list(zip(src, dst, sizes(n_msgs))), list(zip(reds, sizes(n_reds)))))
+    return config, steps, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=priced_steps())
+def test_charge_step_matches_scalar_oracle(case):
+    config, steps, as_arrays = case
+    coster = StepCoster(config)
+    counters = NicCounters(nics=config.topo.nics_per_node)
+    for messages, reductions in steps:
+        want = scalar_charge_step(config, counters, messages, reductions)
+        if as_arrays:
+            messages = np.array(messages, dtype=np.int64).reshape(-1, 3)
+            reductions = np.array(reductions, dtype=np.int64).reshape(-1, 2)
+        assert coster.charge_step(messages, reductions, record=True) == want
+        assert coster.counters == counters
+
+
+@pytest.mark.parametrize("n_nodes", range(1, 10))
+def test_ring_links_expand_ring_hops_in_message_order(n_nodes):
+    pairs = [(s, d) for s in range(n_nodes) for d in range(n_nodes)]
+    src, dst = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    owner, a, b = ring_links(n_nodes, src, dst)
+    want = [(i, *hop) for i, (s, d) in enumerate(pairs) for hop in ring_hops(n_nodes, s, d)]
+    assert list(zip(owner.tolist(), a.tolist(), b.tolist())) == want
+
+
+def test_charge_step_refuses_bad_ranks_and_sizes():
+    coster = StepCoster(cfg(Topology(2, 2, 1)))
+    for messages, reductions in (
+        ([(0, 4, 1)], ()),
+        ([(-1, 0, 1)], ()),
+        ([], [(4, 1)]),
+    ):
+        with pytest.raises(IndexOutOfRange):
+            coster.charge_step(messages, reductions)
+    with pytest.raises(LengthMismatch):
+        coster.charge_step([(0, 2, -1)])
+    assert coster.charge_step([]) == (0.0, None)
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 64])
@@ -216,6 +343,10 @@ def test_validation_errors():
         simulate(config, "all_gather", "butterfly", 3 << 20)
     with pytest.raises(Unsupported):
         simulate(config, "all_gather", "hierarchical", 3 << 20, inter_alg="tree")
+    topo = Topology(2, 1, 1)
+    for field_name in ("nic_policy", "phys_topology", "reduce_profile"):
+        with pytest.raises(Unsupported):
+            SimConfig(topo=topo, **{field_name: "bogus"})
 
 
 def test_hierarchical_inter_auto_resolves():
