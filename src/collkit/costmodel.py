@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .collectives import is_power_of_two
-from .errors import EmptyTable, NonPowerOfTwo
+from .errors import EmptyTable, NonPowerOfTwo, Unsupported
 from .topology import Topology
+
+SELECTOR_MODES = ("analytic", "table")
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def t_hierarchical(
     elif inter_alg == "recursive":
         inter = t_rec(n, sub_m, params, level="inter")
     else:
-        raise ValueError(f"unknown inter_alg {inter_alg!r}")
+        raise Unsupported(f"unknown inter_alg {inter_alg!r}")
     return inter + t_ring(m_gpus, m_bytes, params, level="intra")
 
 
@@ -196,12 +198,12 @@ def choose_inter_algorithm(
     """
     if n_nodes < 2:
         raise ValueError(f"selection needs at least 2 nodes, got {n_nodes}")
+    if mode not in SELECTOR_MODES:
+        raise Unsupported(f"selection mode must be one of {SELECTOR_MODES}, got {mode!r}")
     if mode == "table":
         if table is None or not table.entries:
             raise EmptyTable("table mode requires a calibration table")
         return table.lookup(n_nodes, m_bytes)
-    if mode != "analytic":
-        raise ValueError(f"unknown selection mode {mode!r}")
     if not is_power_of_two(n_nodes):
         return "ring"
     params = params or CostParams()

@@ -59,6 +59,8 @@ class HierPlan:
     def __post_init__(self) -> None:
         if self.inter_alg not in INTER_ALGORITHMS:
             raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
+        if self.selector_mode not in costmodel.SELECTOR_MODES:
+            raise Unsupported(f"selector_mode must be one of {costmodel.SELECTOR_MODES}")
         if self.collective not in (None, "all_gather", "reduce_scatter"):
             raise Unsupported(f"unknown collective {self.collective!r}")
         if self.inter_alg == "recursive" and not is_power_of_two(self.topo.num_nodes):

@@ -25,6 +25,13 @@ order, by ``np.bincount``: the very additions, in the very order, of a
 message-by-message loop, so the seconds are bit-identical to one.
 Counters are integer sums. Virtual time adds up the step makespans in a
 Python loop, in step order.
+
+A repeated step is priced once. Every step of a ring phase sends the
+same messages, so the schedule yields them as the same read-only arrays;
+:func:`simulate` reuses the makespan and byte total of the step before
+and adds its integer NIC-counter deltas again. The makespans are still
+added one per step, in step order, so results stay bit-identical to
+pricing every step, and the cost of a run grows with its distinct steps.
 """
 from __future__ import annotations
 
@@ -147,6 +154,7 @@ class StepCoster:
         self.params = config.params
         self.gamma = config.params.gamma(config.reduce_profile)
         self.counters = NicCounters(nics=self.topo.nics_per_node)
+        self._deltas: list[tuple[list[int], int, int]] = []
 
     def _nics_for(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         topo = self.topo
@@ -158,9 +166,10 @@ class StepCoster:
 
     def _count(self, nic_src: np.ndarray, nic_dst: np.ndarray, nbytes: np.ndarray) -> None:
         """Adds a step's inter-node bytes and packets to the NIC counters,
-        in exact integer arithmetic."""
+        in exact integer arithmetic, and keeps them as the step's deltas."""
         c = self.counters
         pkts = -(-nbytes // self.params.packet_bytes)
+        self._deltas = []
         for totals, nics, amounts in (
             (c.bytes_out, nic_src, nbytes),
             (c.non_posted_pkts, nic_src, pkts),
@@ -169,8 +178,14 @@ class StepCoster:
         ):
             step = np.zeros(c.nics, dtype=np.int64)
             np.add.at(step, nics, amounts)
-            for nic, amount in enumerate(step.tolist()):
-                totals[nic] += amount
+            self._deltas += [(totals, nic, n) for nic, n in enumerate(step.tolist()) if n]
+        self.recount()
+
+    def recount(self) -> None:
+        """Adds the NIC-counter deltas of the last charged step once more:
+        the counters of a step that repeats it exactly."""
+        for totals, nic, amount in self._deltas:
+            totals[nic] += amount
 
     def charge_step(
         self,
@@ -266,11 +281,13 @@ def ring_links(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
 #
 # A schedule yields (messages, reductions) per synchronous step: a (k, 3)
 # int64 array of (src_world, dst_world, nbytes) rows and a (k, 2) array of
-# (rank_world, nbytes) rows. Its steps are the flat algorithms' steps from
-# collkit.collectives, the ones the real collectives execute, generated
-# one at a time and never kept.
+# (rank_world, nbytes) rows, both read-only. Its steps are the flat
+# algorithms' steps from collkit.collectives, the ones the real collectives
+# execute, generated one at a time and never kept. A step that repeats the
+# one before it is yielded as the very same two array objects.
 
 _NO_REDUCTIONS = np.empty((0, 2), dtype=np.int64)
+_NO_REDUCTIONS.flags.writeable = False
 
 
 def _phase(collective: str, algorithm: str, groups, m_bytes: int):
@@ -283,17 +300,19 @@ def _phase(collective: str, algorithm: str, groups, m_bytes: int):
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     block = m_bytes // p
     reduces = collective == "reduce_scatter"
-    to = None
+    to = width = None
     for step in collectives.schedule(collective, algorithm, p):
-        if step.to is not to:
-            # A ring reuses one ``to`` tuple for all its steps.
-            to = step.to
-            dst = members[:, np.array(to)]
-        msgs = np.empty((members.size, 3), dtype=np.int64)
-        msgs[:, 0] = members.reshape(-1)
-        msgs[:, 1] = dst.reshape(-1)
-        msgs[:, 2] = step.width * block
-        yield msgs, msgs[:, ::2] if reduces else _NO_REDUCTIONS
+        if step.to is not to or step.width != width:
+            # A ring reuses one ``to`` tuple and width for all its steps,
+            # so all of them share these arrays.
+            to, width = step.to, step.width
+            msgs = np.empty((members.size, 3), dtype=np.int64)
+            msgs[:, 0] = members.reshape(-1)
+            msgs[:, 1] = members[:, np.array(to)].reshape(-1)
+            msgs[:, 2] = width * block
+            msgs.flags.writeable = False
+            reds = msgs[:, ::2] if reduces else _NO_REDUCTIONS
+        yield msgs, reds
 
 
 def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: int):
@@ -345,23 +364,32 @@ def simulate(
     """Run one collective schedule to completion under virtual time.
 
     Deterministic: identical inputs give bit-identical times, counters,
-    and traces.
+    and traces. A step yielded as the same arrays as the step before is
+    priced once: it takes that step's makespan and byte total and adds its
+    counter deltas again (unless messages are recorded).
     """
     coster = StepCoster(config)
     trace = StepTrace()
     total = 0.0
+    last = (None, None)
     schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
-    for index, (messages, reductions) in enumerate(schedule):
-        makespan, recorded = coster.charge_step(
-            messages, reductions, record=record_messages
-        )
+    for index, step in enumerate(schedule):
+        messages, reductions = step
+        if messages is last[0] and reductions is last[1] and not record_messages:
+            coster.recount()
+        else:
+            makespan, recorded = coster.charge_step(
+                messages, reductions, record=record_messages
+            )
+            bytes_total = int(messages[:, 2].sum())
+            last = step
         total += makespan
         trace.steps.append(
             SimStep(
                 index=index,
                 makespan=makespan,
                 message_count=len(messages),
-                bytes_total=int(messages[:, 2].sum()),
+                bytes_total=bytes_total,
                 reduction_count=len(reductions),
                 messages=recorded,
             )

@@ -12,7 +12,7 @@ from collkit.costmodel import (
     t_rec,
     t_ring,
 )
-from collkit.errors import EmptyTable, NonPowerOfTwo
+from collkit.errors import EmptyTable, NonPowerOfTwo, Unsupported
 from collkit.topology import Topology
 
 UNIT = CostParams(alpha_inter=1.0, beta_inter=1.0, alpha_intra=1.0, beta_intra=1.0)
@@ -110,6 +110,13 @@ def test_choose_prefers_recursive_at_scale():
 
 def test_choose_falls_back_to_ring_for_non_power_of_two():
     assert choose_inter_algorithm(6, 1 << 20, CostParams()) == "ring"
+
+
+def test_unknown_inter_algorithm_and_selection_mode_are_unsupported():
+    with pytest.raises(Unsupported):
+        t_hierarchical(Topology(4, 2, 1), 1 << 20, "tree", CostParams())
+    with pytest.raises(Unsupported):
+        choose_inter_algorithm(4, 1 << 20, CostParams(), mode="bogus")
 
 
 def test_choose_requires_two_nodes():

@@ -123,6 +123,11 @@ def test_plan_rejects_unknown_inter():
         HierPlan(topo=topo_for(2, 2), inter_alg="tree")
 
 
+def test_plan_rejects_unknown_selector_mode():
+    with pytest.raises(Unsupported):
+        HierPlan(topo=topo_for(2, 2), inter_alg="auto", selector_mode="tabel")
+
+
 def test_plan_collective_field_is_enforced():
     plan = HierPlan(topo=topo_for(2, 2), collective="all_gather")
     inputs = integer_inputs(4, 8, seed=1)

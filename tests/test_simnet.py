@@ -22,7 +22,9 @@ from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.simnet import (
     NicCounters,
     SimConfig,
+    SimStep,
     StepCoster,
+    build_schedule,
     compare_policies,
     counters_to_csv,
     reduce_profile_gap,
@@ -140,6 +142,134 @@ def test_charge_step_matches_scalar_oracle(case):
             reductions = np.array(reductions, dtype=np.int64).reshape(-1, 2)
         assert coster.charge_step(messages, reductions, record=True) == want
         assert coster.counters == counters
+
+
+@st.composite
+def simulated_runs(draw):
+    """A random machine, config and collective run: flat ring or recursive,
+    or hierarchical with a ring, recursive or auto inter-node phase.
+    Recursive phases get power-of-two rank or node counts."""
+    algorithm, inter_alg = draw(
+        st.sampled_from(
+            [("ring", "ring"), ("recursive", "ring")]
+            + [("hierarchical", inter) for inter in ("ring", "recursive", "auto")]
+        )
+    )
+    powers = st.sampled_from([1, 2, 4, 8])
+    recursive = "recursive" in (algorithm, inter_alg)
+    n = draw(powers if recursive else st.integers(1, 9))
+    m = draw(powers if algorithm == "recursive" else st.integers(1, 8))
+    k = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    topo = Topology(n, m, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = CostParams(
+        alpha_inter=rng.uniform(0, 1e-4),
+        beta_inter=rng.uniform(0, 1e-9),
+        alpha_intra=rng.uniform(0, 1e-5),
+        beta_intra=rng.uniform(0, 1e-10),
+        gamma_reduce_fast=rng.uniform(0, 1e-11),
+        gamma_reduce_slow=rng.uniform(0, 1e-9),
+        packet_bytes=int(rng.integers(1, 5000)),
+    )
+    config = SimConfig(
+        topo=topo,
+        params=params,
+        nic_policy=draw(st.sampled_from(["balanced", "single_nic"])),
+        phys_topology=draw(st.sampled_from(["fully_connected", "ring_of_nodes"])),
+        reduce_profile=draw(st.sampled_from(["fast", "slow"])),
+    )
+    collective = draw(st.sampled_from(["all_gather", "reduce_scatter"]))
+    m_bytes = topo.world_size * int(rng.integers(0, 1 << 24))
+    return config, collective, algorithm, m_bytes, inter_alg, draw(st.booleans())
+
+
+def charge_every_step(config, collective, algorithm, m_bytes, inter_alg):
+    """Reference run: a fresh pricer charges every step of the schedule,
+    and the makespans are summed in step order."""
+    coster = StepCoster(config)
+    total, steps = 0.0, []
+    schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
+    for index, (messages, reductions) in enumerate(schedule):
+        makespan, recorded = coster.charge_step(messages, reductions, record=True)
+        total += makespan
+        steps.append(
+            SimStep(
+                index, makespan, len(messages), int(np.sum(messages[:, 2])),
+                len(reductions), recorded,
+            )
+        )
+    return total, steps, coster.counters
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=simulated_runs())
+def test_simulate_matches_charging_every_step(run):
+    config, collective, algorithm, m_bytes, inter_alg, record = run
+    want_seconds, want_steps, want_counters = charge_every_step(
+        config, collective, algorithm, m_bytes, inter_alg
+    )
+    res = simulate(
+        config, collective, algorithm, m_bytes, inter_alg=inter_alg, record_messages=record
+    )
+    assert res.seconds == want_seconds
+    if not record:
+        want_steps = [dataclasses.replace(s, messages=None) for s in want_steps]
+    assert res.trace.steps == want_steps
+    assert res.counters.bytes_in == want_counters.bytes_in
+    assert res.counters.bytes_out == want_counters.bytes_out
+    assert res.counters.posted_pkts == want_counters.posted_pkts
+    assert res.counters.non_posted_pkts == want_counters.non_posted_pkts
+
+
+@pytest.fixture
+def charged(monkeypatch):
+    """The message counts of every ``StepCoster.charge_step`` call."""
+    calls = []
+    charge = StepCoster.charge_step
+
+    def counted(self, messages, reductions=(), record=False):
+        calls.append(len(messages))
+        return charge(self, messages, reductions, record)
+
+    monkeypatch.setattr(StepCoster, "charge_step", counted)
+    return calls
+
+
+def test_flat_ring_prices_one_step(charged):
+    topo = Topology(256, 8, 4)
+    res = simulate(cfg(topo), "all_gather", "ring", topo.world_size * 64)
+    assert len(res.trace.steps) == topo.world_size - 1
+    assert charged == [topo.world_size]
+
+
+@pytest.mark.parametrize("collective", ["all_gather", "reduce_scatter"])
+def test_hierarchical_recursive_prices_each_inter_step_and_one_intra_step(charged, collective):
+    topo = Topology(8, 8, 4)
+    res = simulate(cfg(topo), collective, "hierarchical", 64 << 10, inter_alg="recursive")
+    assert len(res.trace.steps) == 3 + 7
+    assert len(charged) == 3 + 1
+
+
+def test_flat_recursive_prices_every_step(charged):
+    topo = Topology(16, 4, 2)
+    simulate(cfg(topo), "reduce_scatter", "recursive", 64 << 10)
+    assert len(charged) == 6
+
+
+def test_recorded_messages_price_every_step(charged):
+    res = simulate(cfg(Topology(4, 2, 1)), "all_gather", "ring", 8 << 10, record_messages=True)
+    assert len(charged) == len(res.trace.steps) == 7
+    assert all(step.messages for step in res.trace.steps)
+
+
+def test_schedule_arrays_are_read_only():
+    steps = list(build_schedule(cfg(Topology(4, 2, 1)), "reduce_scatter", "ring", 8 << 10))
+    messages, reductions = steps[0]
+    assert all(step[0] is messages and step[1] is reductions for step in steps)
+    with pytest.raises(ValueError):
+        messages[0, 2] = 0
+    with pytest.raises(ValueError):
+        reductions[0, 1] = 0
 
 
 @pytest.mark.parametrize("n_nodes", range(1, 10))
