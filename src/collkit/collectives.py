@@ -5,10 +5,13 @@ counts times four bytes. Ring variants run in p-1 steps and work for any
 group size; the recursive variants run in log2(p) steps and require a
 power-of-two group.
 
-Each algorithm is written once, as a schedule of :class:`Step` objects
-over a p-rank group (:data:`SCHEDULES`). Two executors run a schedule
-against a communicator, one for all-gather and one for reduce-scatter;
-:func:`collkit.simnet.build_schedule` prices the very same steps.
+Each algorithm is written once, as a schedule over a p-rank group
+(:data:`SCHEDULES`): a few :class:`Run` objects, each a run of identical
+steps that send the same messages. A ring is one run of p-1 steps; a
+recursive algorithm is log2(p) runs of one step each. Two executors run a
+schedule against a communicator, one for all-gather and one for
+reduce-scatter; :func:`collkit.simnet.build_schedule` prices the very same
+runs, one priced step per run.
 
 Data path: each hop copies its bytes once. A collective's first send is
 the one copy of the caller's data; after that, an all-gather forwards the
@@ -21,7 +24,7 @@ returns (see :mod:`collkit.transport.base`).
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -35,40 +38,47 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-class Step(NamedTuple):
-    """One synchronous step over a p-rank group. Group rank r sends the
-    ``width`` blocks starting at block ``first(r)`` to ``to[r]``, and
-    receives from ``frm[r]`` (the inverse of ``to``) the blocks that rank
-    sends. All-gather blocks are the ranks' contributions; reduce-scatter
-    blocks are the chunks of the input, sent as partial sums."""
+class Run(NamedTuple):
+    """``count`` synchronous steps over a p-rank group that send the same
+    messages. At step i of the run, group rank r sends the ``width``
+    blocks starting at block ``first(r, i)`` to ``to[r]``, and receives
+    from ``frm[r]`` (the inverse of ``to``) the blocks that rank sends.
+    All-gather blocks are the ranks' contributions; reduce-scatter blocks
+    are the chunks of the input, sent as partial sums."""
 
     to: tuple[int, ...]
     frm: tuple[int, ...]
     width: int
-    first: Callable[[int], int]
+    count: int
+    first: Callable[[int, int], int]
 
 
-def _ring(p: int, lag: int) -> Iterator[Step]:
-    """Rank r sends to r+1; at step s it sends block r-s-lag (mod p)."""
-    to = tuple((r + 1) % p for r in range(p))
-    frm = tuple((r - 1) % p for r in range(p))
-    for s in range(p - 1):
-        yield Step(to, frm, 1, lambda r, d=s + lag: (r - d) % p)
+def _ring(p: int, lag: int) -> tuple[Run, ...]:
+    """Rank r sends to r+1; at step i it sends block r-i-lag (mod p)."""
+    if p == 1:
+        return ()
+    to = (*range(1, p), 0)
+    frm = (p - 1, *range(p - 1))
+    return (Run(to, frm, 1, p - 1, lambda r, i: (r - i - lag) % p),)
 
 
-def _xor(p: int, doubling: bool) -> Iterator[Step]:
+def _xor(p: int, doubling: bool) -> tuple[Run, ...]:
     """Rank r swaps ``w`` blocks with partner r XOR w: for w = 1, 2, 4...
     the aligned range holding its own block (doubling), for w = p/2...1
-    the range holding its partner's (halving)."""
+    the range holding its partner's (halving). Each step is a run of one."""
     widths = [1 << k for k in range(p.bit_length() - 1)]
+    ranks = np.arange(p)
+    runs = []
     for w in widths if doubling else reversed(widths):
-        to = tuple(r ^ w for r in range(p))
-        yield Step(to, to, w, lambda r, w=w, flip=0 if doubling else w: (r ^ flip) & -w)
+        to = tuple((ranks ^ w).tolist())
+        flip = 0 if doubling else w
+        runs.append(Run(to, to, w, 1, lambda r, i, w=w, flip=flip: (r ^ flip) & -w))
+    return tuple(runs)
 
 
-# The one table of flat algorithms: (collective, algorithm) -> the steps
+# The one table of flat algorithms: (collective, algorithm) -> the runs
 # of that algorithm over a p-rank group.
-SCHEDULES: dict[tuple[str, str], Callable[[int], Iterator[Step]]] = {
+SCHEDULES: dict[tuple[str, str], Callable[[int], tuple[Run, ...]]] = {
     ("all_gather", "ring"): lambda p: _ring(p, lag=0),
     ("reduce_scatter", "ring"): lambda p: _ring(p, lag=1),
     ("all_gather", "recursive"): lambda p: _xor(p, doubling=True),
@@ -76,9 +86,9 @@ SCHEDULES: dict[tuple[str, str], Callable[[int], Iterator[Step]]] = {
 }
 
 
-def schedule(collective: str, algorithm: str, p: int) -> Iterator[Step]:
-    """The steps of one flat algorithm over ``p`` ranks, generated lazily;
-    raises before the first step for shapes the algorithm refuses."""
+def schedule(collective: str, algorithm: str, p: int) -> tuple[Run, ...]:
+    """The runs of one flat algorithm over ``p`` ranks; raises for shapes
+    the algorithm refuses."""
     make = SCHEDULES.get((collective, algorithm))
     if make is None:
         raise Unsupported(f"no flat schedule for {collective}/{algorithm}")
@@ -88,10 +98,10 @@ def schedule(collective: str, algorithm: str, p: int) -> Iterator[Step]:
 
 
 @functools.lru_cache(maxsize=64)
-def _steps(collective: str, algorithm: str, p: int) -> tuple[Step, ...]:
+def _runs(collective: str, algorithm: str, p: int) -> tuple[Run, ...]:
     """:func:`schedule`, kept for the executors, which run the same few
     group sizes over and over."""
-    return tuple(schedule(collective, algorithm, p))
+    return schedule(collective, algorithm, p)
 
 
 def as_elements(buf) -> np.ndarray:
@@ -170,21 +180,24 @@ def all_gather(comm: Communicator, algorithm: str, buf, out: np.ndarray | None =
     rank-ordered concatenation of all contributions, or ``out`` (a
     (p, ...) array whose row b receives block b) when given."""
     p, r = comm.size, comm.rank
-    steps = _steps("all_gather", algorithm, p)
+    runs = _runs("all_gather", algorithm, p)
     blocks = _gather_blocks(buf, p, r, out)
-    if steps:
-        base = comm.next_base_tag(len(steps))
+    if runs:
+        tag = comm.next_base_tag(sum(run.count for run in runs))
         got, payload = None, None  # the range received on the last step
-        for s, (to, frm, w, first) in enumerate(steps):
-            lo = first(r)
-            if got != (lo, w):
-                # The range sent lives in the returned output: copy it.
-                payload = to_payload(blocks[lo : lo + w])
-            comm.send(to[r], base + s, payload)
-            payload = comm.recv(frm[r], base + s)
-            got = (first(frm[r]), w)
-            dst = blocks[got[0] : got[0] + w]
-            dst[...] = from_payload(payload, dst.size).reshape(dst.shape)
+        for to, frm, w, count, first in runs:
+            peer, source = to[r], frm[r]
+            for i in range(count):
+                lo = first(r, i)
+                if got != (lo, w):
+                    # The range sent lives in the returned output: copy it.
+                    payload = to_payload(blocks[lo : lo + w])
+                comm.send(peer, tag, payload)
+                payload = comm.recv(source, tag)
+                tag += 1
+                got = (first(source, i), w)
+                dst = blocks[got[0] : got[0] + w]
+                dst[...] = from_payload(payload, dst.size).reshape(dst.shape)
     return blocks.reshape(-1) if out is None else out
 
 
@@ -192,11 +205,11 @@ def reduce_scatter(comm: Communicator, algorithm: str, buf) -> np.ndarray:
     """Run the reduce-scatter schedule of ``algorithm``. Rank r ends with
     chunk r of the element-wise sum over all ranks' inputs."""
     p, r = comm.size, comm.rank
-    steps = _steps("reduce_scatter", algorithm, p)
+    runs = _runs("reduce_scatter", algorithm, p)
     chunks = _chunks(buf, p)
-    if not steps:
+    if not runs:
         return chunks[0].flatten()
-    base = comm.next_base_tag(len(steps))
+    tag = comm.next_base_tag(sum(run.count for run in runs))
     # ``part`` holds the partials of chunks at..at+len(part)-1 computed on
     # the last step; every other chunk is still this rank's own input.
     part, at = chunks[:0], 0
@@ -208,11 +221,14 @@ def reduce_scatter(comm: Communicator, algorithm: str, buf) -> np.ndarray:
             return part[lo - at : lo - at + w], True
         return chunks[lo : lo + w], False
 
-    for s, (to, frm, w, first) in enumerate(steps):
-        sent, fresh = rows(first(r), w)
-        comm.send(to[r], base + s, as_payload(sent) if fresh else to_payload(sent))
-        lo = first(frm[r])
-        part, at = _summed(rows(lo, w)[0], comm.recv(frm[r], base + s)), lo
+    for to, frm, w, count, first in runs:
+        peer, source = to[r], frm[r]
+        for i in range(count):
+            sent, fresh = rows(first(r, i), w)
+            comm.send(peer, tag, as_payload(sent) if fresh else to_payload(sent))
+            lo = first(source, i)
+            part, at = _summed(rows(lo, w)[0], comm.recv(source, tag)), lo
+            tag += 1
     return part.reshape(-1)
 
 

@@ -49,9 +49,9 @@ class CostParams:
             "gamma_reduce_slow",
         ):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise Unsupported(f"{name} must be >= 0")
         if self.packet_bytes < 1:
-            raise ValueError("packet_bytes must be >= 1")
+            raise Unsupported("packet_bytes must be >= 1")
 
     def alpha_beta(self, level: str) -> tuple[float, float]:
         if level == "inter":

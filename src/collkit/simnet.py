@@ -26,12 +26,12 @@ message-by-message loop, so the seconds are bit-identical to one.
 Counters are integer sums. Virtual time adds up the step makespans in a
 Python loop, in step order.
 
-A repeated step is priced once. Every step of a ring phase sends the
-same messages, so the schedule yields them as the same read-only arrays;
-:func:`simulate` reuses the makespan and byte total of the step before
-and adds its integer NIC-counter deltas again. The makespans are still
-added one per step, in step order, so results stay bit-identical to
-pricing every step, and the cost of a run grows with its distinct steps.
+A schedule states its repeats: it is a list of runs of identical steps
+(a ring phase is one run of p-1 steps, a recursive phase log2(p) runs of
+one). :func:`simulate` prices each run's step once, then adds its
+makespan once per step, in step order, and its integer NIC-counter
+deltas once per step, so results stay bit-identical to pricing every
+step, and the cost of a simulation grows with its runs, not its steps.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from . import collectives
 from .costmodel import CostParams
 from .errors import ConfigMismatch, LengthMismatch, NotDivisible, Unsupported
 from .hierarchy import HierPlan
-from .topology import Topology, inter_node_group, intra_node_group
+from .topology import Topology
 
 NIC_POLICIES = ("balanced", "single_nic")
 PHYS_TOPOLOGIES = ("fully_connected", "ring_of_nodes")
@@ -98,7 +98,7 @@ class NicCounters:
         return sum(self.bytes_out)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimStep:
     index: int
     makespan: float
@@ -154,7 +154,6 @@ class StepCoster:
         self.params = config.params
         self.gamma = config.params.gamma(config.reduce_profile)
         self.counters = NicCounters(nics=self.topo.nics_per_node)
-        self._deltas: list[tuple[list[int], int, int]] = []
 
     def _nics_for(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         topo = self.topo
@@ -166,26 +165,19 @@ class StepCoster:
 
     def _count(self, nic_src: np.ndarray, nic_dst: np.ndarray, nbytes: np.ndarray) -> None:
         """Adds a step's inter-node bytes and packets to the NIC counters,
-        in exact integer arithmetic, and keeps them as the step's deltas."""
+        in exact integer arithmetic: one ``np.add.at`` into a (4, K) array
+        whose rows are bytes out, packets out, bytes in and packets in,
+        indexed flat."""
         c = self.counters
+        k = c.nics
         pkts = -(-nbytes // self.params.packet_bytes)
-        self._deltas = []
-        for totals, nics, amounts in (
-            (c.bytes_out, nic_src, nbytes),
-            (c.non_posted_pkts, nic_src, pkts),
-            (c.bytes_in, nic_dst, nbytes),
-            (c.posted_pkts, nic_dst, pkts),
-        ):
-            step = np.zeros(c.nics, dtype=np.int64)
-            np.add.at(step, nics, amounts)
-            self._deltas += [(totals, nic, n) for nic, n in enumerate(step.tolist()) if n]
-        self.recount()
-
-    def recount(self) -> None:
-        """Adds the NIC-counter deltas of the last charged step once more:
-        the counters of a step that repeats it exactly."""
-        for totals, nic, amount in self._deltas:
-            totals[nic] += amount
+        step = np.zeros((4, k), dtype=np.int64)
+        nics = np.concatenate((nic_src, nic_src + k, nic_dst + 2 * k, nic_dst + 3 * k))
+        np.add.at(step.reshape(-1), nics, np.concatenate((nbytes, pkts, nbytes, pkts)))
+        totals = (c.bytes_out, c.non_posted_pkts, c.bytes_in, c.posted_pkts)
+        for row, amounts in zip(totals, step.tolist()):
+            for nic, n in enumerate(amounts):
+                row[nic] += n
 
     def charge_step(
         self,
@@ -279,40 +271,34 @@ def ring_links(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
 
 # --- schedules ---------------------------------------------------------------
 #
-# A schedule yields (messages, reductions) per synchronous step: a (k, 3)
-# int64 array of (src_world, dst_world, nbytes) rows and a (k, 2) array of
-# (rank_world, nbytes) rows, both read-only. Its steps are the flat
-# algorithms' steps from collkit.collectives, the ones the real collectives
-# execute, generated one at a time and never kept. A step that repeats the
-# one before it is yielded as the very same two array objects.
+# A schedule yields (messages, reductions, repeat) per run of identical
+# synchronous steps: a (k, 3) int64 array of (src_world, dst_world, nbytes)
+# rows and a (k, 2) array of (rank_world, nbytes) rows, both read-only, sent
+# on each of ``repeat`` consecutive steps. Its runs are the flat algorithms'
+# runs from collkit.collectives, the ones the real collectives execute,
+# generated one at a time and never kept.
 
 _NO_REDUCTIONS = np.empty((0, 2), dtype=np.int64)
 _NO_REDUCTIONS.flags.writeable = False
 
 
-def _phase(collective: str, algorithm: str, groups, m_bytes: int):
-    """Steps of one flat algorithm over ``m_bytes``, run at once by every
-    group of ``groups`` (world-rank tuples of equal size): step i carries
-    each group's step-i messages and reductions, group by group."""
-    members = np.array(groups, dtype=np.int64)
+def _phase(collective: str, algorithm: str, members: np.ndarray, m_bytes: int):
+    """Runs of one flat algorithm over ``m_bytes``, run at once by every
+    group of ``members`` (one row of world ranks per group): each step of
+    run j carries each group's run-j messages and reductions, group by
+    group."""
     p = members.shape[1]
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     block = m_bytes // p
     reduces = collective == "reduce_scatter"
-    to = width = None
-    for step in collectives.schedule(collective, algorithm, p):
-        if step.to is not to or step.width != width:
-            # A ring reuses one ``to`` tuple and width for all its steps,
-            # so all of them share these arrays.
-            to, width = step.to, step.width
-            msgs = np.empty((members.size, 3), dtype=np.int64)
-            msgs[:, 0] = members.reshape(-1)
-            msgs[:, 1] = members[:, np.array(to)].reshape(-1)
-            msgs[:, 2] = width * block
-            msgs.flags.writeable = False
-            reds = msgs[:, ::2] if reduces else _NO_REDUCTIONS
-        yield msgs, reds
+    for run in collectives.schedule(collective, algorithm, p):
+        msgs = np.empty((members.size, 3), dtype=np.int64)
+        msgs[:, 0] = members.reshape(-1)
+        msgs[:, 1] = members[:, np.array(run.to)].reshape(-1)
+        msgs[:, 2] = run.width * block
+        msgs.flags.writeable = False
+        yield msgs, msgs[:, ::2] if reduces else _NO_REDUCTIONS, run.count
 
 
 def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: int):
@@ -322,8 +308,10 @@ def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: 
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     sub_m = m_bytes // topo.gpus_per_node
     inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
-    inter = [inter_node_group(topo, j).members for j in range(topo.gpus_per_node)]
-    intra = [intra_node_group(topo, n).members for n in range(topo.num_nodes)]
+    # Row n holds node n's intra-node group, column j the inter-node group
+    # of local rank j (see collkit.topology).
+    intra = np.arange(p, dtype=np.int64).reshape(topo.num_nodes, topo.gpus_per_node)
+    inter = intra.T
     if collective == "all_gather":
         yield from _phase(collective, inter_alg, inter, sub_m)
         yield from _phase(collective, "ring", intra, m_bytes)
@@ -339,7 +327,8 @@ def build_schedule(
     m_bytes: int,
     inter_alg: str = "ring",
 ):
-    """Iterator of (messages, reductions) steps for one collective run.
+    """Iterator of (messages, reductions, repeat) runs of identical steps
+    for one collective run.
 
     ``m_bytes`` is the gathered output size for all-gather and the
     per-rank input size for reduce-scatter (both equal p times the block).
@@ -350,7 +339,8 @@ def build_schedule(
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if algorithm == "hierarchical":
         return _hier_schedule(config, collective, inter_alg, m_bytes)
-    return _phase(collective, algorithm, [tuple(range(config.topo.world_size))], m_bytes)
+    world = np.arange(config.topo.world_size, dtype=np.int64).reshape(1, -1)
+    return _phase(collective, algorithm, world, m_bytes)
 
 
 def simulate(
@@ -364,37 +354,32 @@ def simulate(
     """Run one collective schedule to completion under virtual time.
 
     Deterministic: identical inputs give bit-identical times, counters,
-    and traces. A step yielded as the same arrays as the step before is
-    priced once: it takes that step's makespan and byte total and adds its
-    counter deltas again (unless messages are recorded).
+    and traces. Each run of identical steps is priced once, unless
+    messages are recorded: its makespan is added once per step, in step
+    order, and its counter deltas once per step.
     """
     coster = StepCoster(config)
+    counters = coster.counters
+    nic_totals = (counters.bytes_in, counters.bytes_out, counters.posted_pkts, counters.non_posted_pkts)
     trace = StepTrace()
+    steps = trace.steps
     total = 0.0
-    last = (None, None)
     schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
-    for index, step in enumerate(schedule):
-        messages, reductions = step
-        if messages is last[0] and reductions is last[1] and not record_messages:
-            coster.recount()
+    for messages, reductions, repeat in schedule:
+        if record_messages:
+            priced = [coster.charge_step(messages, reductions, record=True) for _ in range(repeat)]
         else:
-            makespan, recorded = coster.charge_step(
-                messages, reductions, record=record_messages
-            )
-            bytes_total = int(messages[:, 2].sum())
-            last = step
-        total += makespan
-        trace.steps.append(
-            SimStep(
-                index=index,
-                makespan=makespan,
-                message_count=len(messages),
-                bytes_total=bytes_total,
-                reduction_count=len(reductions),
-                messages=recorded,
-            )
-        )
-    return SimResult(seconds=total, counters=coster.counters, trace=trace)
+            before = [list(row) for row in nic_totals]
+            priced = [coster.charge_step(messages, reductions)] * repeat
+            # The run's other steps add the very same integer deltas.
+            for row, old in zip(nic_totals, before):
+                row[:] = [n + (n - o) * (repeat - 1) for n, o in zip(row, old)]
+        count, reduced = len(messages), len(reductions)
+        bytes_total = int(messages[:, 2].sum())
+        for index, (makespan, recorded) in enumerate(priced, len(steps)):
+            total += makespan
+            steps.append(SimStep(index, makespan, count, bytes_total, reduced, recorded))
+    return SimResult(seconds=total, counters=counters, trace=trace)
 
 
 def compare_policies(

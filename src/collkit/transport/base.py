@@ -15,10 +15,10 @@ may still be reading that view after this rank has returned.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
-from ..errors import LengthMismatch, SelfSend, Unsupported
+from ..errors import IndexOutOfRange, LengthMismatch, SelfSend, Unsupported
 
 # Tag namespace layout. Each communicator owns a tag range derived from its
 # id; each collective invocation on a communicator draws a fresh base tag
@@ -32,7 +32,7 @@ def check_payload(src: int, dst: int, tag: int, payload) -> None:
     if dst == src:
         raise SelfSend(f"rank {src} cannot send to itself")
     if tag < 0:
-        raise ValueError(f"tag must be >= 0, got {tag}")
+        raise IndexOutOfRange(f"tag must be >= 0, got {tag}")
     if len(payload) % 4 != 0:
         raise LengthMismatch(
             f"payload length {len(payload)} is not a multiple of 4"
@@ -64,32 +64,36 @@ class MessageLog:
 
 
 class ChannelStore:
-    """FIFO queues keyed by (src, dst, tag), with an in-flight high-water
-    mark per channel. Callers provide their own locking."""
+    """FIFO queues keyed by (src, dst, tag). A channel's queue exists only
+    while it holds messages, so tags used once leave nothing behind. Keeps
+    the most messages any one channel has held at once. Callers provide
+    their own locking."""
 
     def __init__(self) -> None:
-        self._queues: dict[tuple[int, int, int], deque[bytes]] = defaultdict(deque)
-        self._high_water: dict[tuple[int, int, int], int] = defaultdict(int)
+        self._queues: dict[tuple[int, int, int], deque[bytes]] = {}
+        self._high_water = 0
 
     def put(self, src: int, dst: int, tag: int, payload: bytes) -> None:
-        key = (src, dst, tag)
-        q = self._queues[key]
+        q = self._queues.setdefault((src, dst, tag), deque())
         q.append(payload)
-        if len(q) > self._high_water[key]:
-            self._high_water[key] = len(q)
+        if len(q) > self._high_water:
+            self._high_water = len(q)
 
     def has(self, src: int, dst: int, tag: int) -> bool:
-        q = self._queues.get((src, dst, tag))
-        return bool(q)
+        return (src, dst, tag) in self._queues
 
     def try_pop(self, src: int, dst: int, tag: int) -> bytes | None:
-        q = self._queues.get((src, dst, tag))
-        if q:
-            return q.popleft()
-        return None
+        key = (src, dst, tag)
+        q = self._queues.get(key)
+        if q is None:
+            return None
+        payload = q.popleft()
+        if not q:
+            del self._queues[key]
+        return payload
 
     def max_in_flight(self) -> int:
-        return max(self._high_water.values(), default=0)
+        return self._high_water
 
 
 class Communicator:
@@ -104,12 +108,12 @@ class Communicator:
         self.endpoint = endpoint
         self.members = tuple(members)
         if not 0 <= comm_id <= MAX_COMM_ID:
-            raise ValueError(f"comm_id {comm_id} out of range")
+            raise IndexOutOfRange(f"comm_id {comm_id} not in [0, {MAX_COMM_ID}]")
         self.comm_id = comm_id
         try:
             self.rank = self.members.index(endpoint.rank)
         except ValueError:
-            raise IndexError(
+            raise IndexOutOfRange(
                 f"rank {endpoint.rank} is not a member of {self.members}"
             ) from None
         self._next_seq = 0

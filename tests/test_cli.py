@@ -178,6 +178,16 @@ def test_error_reporting_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_negative_cost_parameter_is_a_clean_error(tmp_path, capsys):
+    rc = cli.main(
+        ["calibrate", "--alpha-inter", "-1", "--nodes", "4", "--sizes", "4096",
+         "--out", str(tmp_path / "calibration.csv")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: alpha_inter must be >= 0")
+    assert not (tmp_path / "calibration.csv").exists()
+
+
 def test_run_sweep_socket_backend_library_path():
     endpoints = connect_local_mesh(4, connect_timeout=10.0)
     config = SweepConfig(

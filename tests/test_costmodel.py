@@ -156,9 +156,9 @@ def test_table_mode_lookup_and_errors(tmp_path):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         CostParams(alpha_inter=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         CostParams(packet_bytes=0)
     params = CostParams()
     assert params.gamma("fast") == params.gamma_reduce_fast

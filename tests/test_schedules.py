@@ -1,6 +1,10 @@
 """Invariants of the flat step schedules, checked on the schedules alone
 (no transport, no rank threads), and the refusals the executors make
-before drawing a tag."""
+before drawing a tag. A schedule is written as runs of identical steps;
+the tests expand the runs into single steps and compare them with a
+step-by-step oracle of each algorithm."""
+from typing import Callable, Iterator, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,66 @@ from collkit.transport.base import STEP_TAGS_PER_COLLECTIVE, Communicator
 KEYS = sorted(SCHEDULES)
 
 
+class Step(NamedTuple):
+    """One synchronous step: group rank r sends the ``width`` blocks
+    starting at block ``first(r)`` to ``to[r]`` and receives from
+    ``frm[r]``."""
+
+    to: tuple[int, ...]
+    frm: tuple[int, ...]
+    width: int
+    first: Callable[[int], int]
+
+
+def oracle_ring(p: int, lag: int) -> Iterator[Step]:
+    """Rank r sends to r+1; at step s it sends block r-s-lag (mod p)."""
+    to = tuple((r + 1) % p for r in range(p))
+    frm = tuple((r - 1) % p for r in range(p))
+    for s in range(p - 1):
+        yield Step(to, frm, 1, lambda r, d=s + lag: (r - d) % p)
+
+
+def oracle_xor(p: int, doubling: bool) -> Iterator[Step]:
+    """Rank r swaps ``w`` blocks with partner r XOR w: for w = 1, 2, 4...
+    the aligned range holding its own block (doubling), for w = p/2...1
+    the range holding its partner's (halving)."""
+    widths = [1 << k for k in range(p.bit_length() - 1)]
+    for w in widths if doubling else reversed(widths):
+        to = tuple(r ^ w for r in range(p))
+        yield Step(to, to, w, lambda r, w=w, flip=0 if doubling else w: (r ^ flip) & -w)
+
+
+ORACLES = {
+    ("all_gather", "ring"): lambda p: oracle_ring(p, lag=0),
+    ("reduce_scatter", "ring"): lambda p: oracle_ring(p, lag=1),
+    ("all_gather", "recursive"): lambda p: oracle_xor(p, doubling=True),
+    ("reduce_scatter", "recursive"): lambda p: oracle_xor(p, doubling=False),
+}
+
+
+def expand(collective, algorithm, p) -> list[Step]:
+    """The single steps that the runs of one schedule stand for."""
+    return [
+        Step(run.to, run.frm, run.width, lambda r, first=run.first, i=i: first(r, i))
+        for run in schedule(collective, algorithm, p)
+        for i in range(run.count)
+    ]
+
+
 def sizes(algorithm):
     return [p for p in range(1, 65) if algorithm == "ring" or p & (p - 1) == 0]
+
+
+@pytest.mark.parametrize("collective,algorithm", KEYS)
+def test_runs_expand_to_the_oracle_steps(collective, algorithm):
+    assert sorted(ORACLES) == KEYS
+    for p in sizes(algorithm):
+        got = expand(collective, algorithm, p)
+        want = list(ORACLES[collective, algorithm](p))
+        assert len(got) == len(want), p
+        for s, (a, b) in enumerate(zip(got, want)):
+            assert (a.to, a.frm, a.width) == (b.to, b.frm, b.width), (p, s)
+            assert [a.first(r) for r in range(p)] == [b.first(r) for r in range(p)], (p, s)
 
 
 def blocks(step, r):
@@ -24,7 +86,7 @@ def blocks(step, r):
 @pytest.mark.parametrize("collective,algorithm", KEYS)
 def test_each_step_pairs_every_rank_with_another(collective, algorithm):
     for p in sizes(algorithm):
-        for step in schedule(collective, algorithm, p):
+        for step in expand(collective, algorithm, p):
             assert len(step.to) == len(step.frm) == p
             assert [step.frm[step.to[r]] for r in range(p)] == list(range(p))
             assert all(step.to[r] != r for r in range(p))
@@ -35,7 +97,7 @@ def test_each_step_pairs_every_rank_with_another(collective, algorithm):
 def test_all_gather_delivers_each_foreign_block_once(algorithm):
     for p in sizes(algorithm):
         have = [{r} for r in range(p)]
-        for step in schedule("all_gather", algorithm, p):
+        for step in expand("all_gather", algorithm, p):
             sent = [set(blocks(step, r)) for r in range(p)]
             for r in range(p):
                 assert sent[r] <= have[r], (p, r)
@@ -59,7 +121,7 @@ def test_reduce_scatter_sums_each_chunk_once_at_its_owner(algorithm):
                 return [part[r][c] for c in rng]
             return [frozenset({r})] * len(rng)
 
-        for step in schedule("reduce_scatter", algorithm, p):
+        for step in expand("reduce_scatter", algorithm, p):
             sent = [current(r, blocks(step, r)) for r in range(p)]
             new = []
             for r in range(p):

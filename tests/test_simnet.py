@@ -184,20 +184,21 @@ def simulated_runs(draw):
 
 
 def charge_every_step(config, collective, algorithm, m_bytes, inter_alg):
-    """Reference run: a fresh pricer charges every step of the schedule,
-    and the makespans are summed in step order."""
+    """Reference run: a fresh pricer charges every step of every run of
+    the schedule, and the makespans are summed in step order."""
     coster = StepCoster(config)
     total, steps = 0.0, []
     schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
-    for index, (messages, reductions) in enumerate(schedule):
-        makespan, recorded = coster.charge_step(messages, reductions, record=True)
-        total += makespan
-        steps.append(
-            SimStep(
-                index, makespan, len(messages), int(np.sum(messages[:, 2])),
-                len(reductions), recorded,
+    for messages, reductions, repeat in schedule:
+        for _ in range(repeat):
+            makespan, recorded = coster.charge_step(messages, reductions, record=True)
+            total += makespan
+            steps.append(
+                SimStep(
+                    len(steps), makespan, len(messages), int(np.sum(messages[:, 2])),
+                    len(reductions), recorded,
+                )
             )
-        )
     return total, steps, coster.counters
 
 
@@ -263,9 +264,10 @@ def test_recorded_messages_price_every_step(charged):
 
 
 def test_schedule_arrays_are_read_only():
-    steps = list(build_schedule(cfg(Topology(4, 2, 1)), "reduce_scatter", "ring", 8 << 10))
-    messages, reductions = steps[0]
-    assert all(step[0] is messages and step[1] is reductions for step in steps)
+    runs = list(build_schedule(cfg(Topology(4, 2, 1)), "reduce_scatter", "ring", 8 << 10))
+    assert len(runs) == 1
+    messages, reductions, repeat = runs[0]
+    assert repeat == 7
     with pytest.raises(ValueError):
         messages[0, 2] = 0
     with pytest.raises(ValueError):

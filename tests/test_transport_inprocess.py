@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from collkit.errors import LengthMismatch, SelfSend
+from collkit.errors import IndexOutOfRange, LengthMismatch, SelfSend
 from collkit.transport import InProcessTransport
 from collkit.transport.inprocess import run_ranks
 
@@ -57,7 +57,7 @@ def test_message_invariants():
     check_payload(0, 1, 3, b"abcd")
     with pytest.raises(LengthMismatch):
         check_payload(0, 1, 0, b"abc")
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexOutOfRange):
         check_payload(0, 1, -1, b"")
 
 
@@ -140,6 +140,42 @@ def test_bounded_in_flight_during_collective():
     inputs = [np.arange(8, dtype=np.float32) + r for r in range(4)]
     run_ranks(4, lambda c: ring_all_gather(c, inputs[c.rank]), transport=t)
     assert t.max_in_flight() <= 2
+
+
+def test_store_drops_drained_channels_and_keeps_high_water():
+    from collkit.collectives import ring_all_gather, ring_reduce_scatter
+    import numpy as np
+
+    t = InProcessTransport(4)
+
+    def fn(c):
+        for _ in range(20):
+            ring_all_gather(c, np.ones(8, np.float32))
+            ring_reduce_scatter(c, np.ones(8, np.float32))
+        c.barrier()
+
+    run_ranks(4, fn, transport=t)
+    assert t._store._queues == {}
+    assert 1 <= t.max_in_flight() <= 2
+
+    for payload in (b"aaaa", b"bbbb", b"cccc"):
+        t.endpoint(0).send(1, 7, payload)
+    assert t.max_in_flight() == 3
+    assert [t.endpoint(1).recv(0, 7) for _ in range(3)] == [b"aaaa", b"bbbb", b"cccc"]
+    assert t._store._queues == {}
+    assert t.max_in_flight() == 3
+
+
+def test_communicator_refuses_bad_comm_id_and_non_member():
+    from collkit.transport.base import MAX_COMM_ID, Communicator
+
+    ep = InProcessTransport(4).endpoint(2)
+    for comm_id in (-1, MAX_COMM_ID + 1):
+        with pytest.raises(IndexOutOfRange):
+            Communicator(ep, range(4), comm_id)
+    with pytest.raises(IndexOutOfRange):
+        Communicator(ep, (0, 1))
+    assert Communicator(ep, (1, 2), MAX_COMM_ID).rank == 1
 
 
 def test_per_rank_wakeups_lose_no_message_under_contention():
