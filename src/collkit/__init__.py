@@ -33,7 +33,7 @@ from .topology import (
     intra_node_group,
     nic_of,
 )
-from .transport import Communicator, InProcessTransport, VirtualTransport, run_ranks
+from .transport import Communicator, InProcessTransport, run_ranks
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,5 @@ __all__ = [
     "nic_of",
     "Communicator",
     "InProcessTransport",
-    "VirtualTransport",
     "run_ranks",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .. import simnet
 from ..costmodel import CostParams
-from ..errors import CollkitError
+from ..errors import CollkitError, Unsupported
 from ..transport.sockets import SocketEndpoint, parse_host_file
 from . import sweep as sweepmod
 
@@ -74,7 +74,7 @@ def load_config_file(path) -> dict[str, str]:
                 continue
             key, eq, value = line.partition("=")
             if not eq:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise Unsupported(f"{path}:{lineno}: expected key=value, got {line!r}")
             values[key.strip()] = value.strip().strip('"').strip("'")
     return values
 
@@ -107,7 +107,10 @@ def apply_config_file(args: argparse.Namespace, overrides: dict | None = None) -
             continue
         if getattr(args, attr) is None or getattr(args, attr) is False:
             convert = converters.get(attr, str)
-            setattr(args, attr, convert(raw))
+            try:
+                setattr(args, attr, convert(raw))
+            except ValueError as exc:
+                raise Unsupported(f"{args.config}: {key} = {raw!r}: {exc}") from None
 
 
 def build_params(args: argparse.Namespace) -> CostParams:

@@ -47,7 +47,8 @@ class ConfigMismatch(CollkitError):
 
 
 class Unsupported(CollkitError):
-    """The requested collective/algorithm combination is not implemented."""
+    """The requested collective/algorithm combination is not implemented,
+    or an input (an option value, a config or host file line) is refused."""
 
 
 class VerificationFailed(CollkitError):

@@ -23,7 +23,7 @@ Steps are numpy arrays, priced without a per-message Python loop. Results
 stay exact because every busy time is summed sequentially, in message
 order, by ``np.bincount``: the very additions, in the very order, of a
 message-by-message loop, so the seconds are bit-identical to one.
-Counters are integer sums. Virtual time adds up the step makespans in a
+Counters are integer sums. Simulated time adds up the step makespans in a
 Python loop, in step order.
 
 A schedule states its repeats: it is a list of runs of identical steps
@@ -141,12 +141,7 @@ def ring_hops(n_nodes: int, src_node: int, dst_node: int) -> list[tuple[int, int
 
 
 class StepCoster:
-    """Prices one synchronous step at a time and accumulates NIC counters.
-
-    Also used by the simulated transport backend, so that executing real
-    rank code under virtual time and replaying a generated schedule price
-    messages identically.
-    """
+    """Prices one synchronous step at a time and accumulates NIC counters."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -390,7 +385,7 @@ def compare_policies(
     m_bytes: int,
     inter_alg: str = "ring",
 ) -> float:
-    """Virtual-time ratio of the single-NIC run over the balanced run for
+    """Simulated-time ratio of the single-NIC run over the balanced run for
     two configs that are identical apart from ``nic_policy``."""
     if dataclasses.replace(config_a, nic_policy="balanced") != dataclasses.replace(
         config_b, nic_policy="balanced"

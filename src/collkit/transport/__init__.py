@@ -1,10 +1,11 @@
-"""Point-to-point transports: in-process threads, TCP sockets, and a
-deterministic virtual-time backend. All expose the same endpoint contract
-(exactly-once, order-preserving delivery per (src, dst, tag) channel)."""
+"""Point-to-point transports: in-process threads and TCP sockets. Both
+expose the same endpoint contract (exactly-once, order-preserving delivery
+per (src, dst, tag) channel). For simulated time, see
+:func:`collkit.simnet.simulate`: it prices the step schedules that the
+collectives send over these transports."""
 
 from .base import ChannelStore, Communicator, MessageLog
 from .inprocess import InProcessEndpoint, InProcessTransport, run_ranks
-from .simulated import VirtualEndpoint, VirtualTransport, run_ranks_virtual
 from .sockets import (
     HostEntry,
     SocketEndpoint,
@@ -20,9 +21,6 @@ __all__ = [
     "InProcessEndpoint",
     "InProcessTransport",
     "run_ranks",
-    "VirtualEndpoint",
-    "VirtualTransport",
-    "run_ranks_virtual",
     "HostEntry",
     "SocketEndpoint",
     "connect_local_mesh",

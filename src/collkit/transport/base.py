@@ -58,10 +58,6 @@ class MessageLog:
         with self._lock:
             self.records.append(LogRecord(src, dst, tag, nbytes))
 
-    def clear(self) -> None:
-        with self._lock:
-            self.records.clear()
-
 
 class ChannelStore:
     """FIFO queues keyed by (src, dst, tag). A channel's queue exists only
@@ -78,9 +74,6 @@ class ChannelStore:
         q.append(payload)
         if len(q) > self._high_water:
             self._high_water = len(q)
-
-    def has(self, src: int, dst: int, tag: int) -> bool:
-        return (src, dst, tag) in self._queues
 
     def try_pop(self, src: int, dst: int, tag: int) -> bytes | None:
         key = (src, dst, tag)

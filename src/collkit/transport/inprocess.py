@@ -29,9 +29,6 @@ class InProcessTransport:
         self.log = MessageLog()
         return self.log
 
-    def stop_logging(self) -> None:
-        self.log = None
-
     def endpoint(self, rank: int) -> "InProcessEndpoint":
         if not 0 <= rank < self.num_ranks:
             raise IndexOutOfRange(f"rank {rank} not in [0, {self.num_ranks})")

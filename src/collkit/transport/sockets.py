@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..errors import LengthMismatch, PeerUnreachable, Timeout
+from ..errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, Timeout, Unsupported
 from .base import ChannelStore, check_payload
 
 FRAME_HEADER = struct.Struct("<IIII")
@@ -40,13 +40,16 @@ def parse_host_file(path) -> list[HostEntry]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'rank host port', got {raw!r}")
-            entries.append(HostEntry(int(parts[0]), parts[1], int(parts[2])))
+            try:
+                rank, host, port = line.split()
+                entries.append(HostEntry(int(rank), host, int(port)))
+            except ValueError:
+                raise Unsupported(
+                    f"{path}:{lineno}: expected 'rank host port', got {line!r}"
+                ) from None
     entries.sort(key=lambda e: e.rank)
     if [e.rank for e in entries] != list(range(len(entries))):
-        raise ValueError(f"{path}: ranks must be exactly 0..{len(entries) - 1}")
+        raise IndexOutOfRange(f"{path}: ranks must be exactly 0..{len(entries) - 1}")
     return entries
 
 

@@ -1,11 +1,34 @@
 """Shared helpers for the test suite."""
-from collkit.hierarchy import INTER_COMM_ID, INTRA_COMM_ID, WORLD_COMM_ID
+import numpy as np
+
+from collkit import collectives
+from collkit.hierarchy import (
+    INTER_COMM_ID,
+    INTRA_COMM_ID,
+    WORLD_COMM_ID,
+    HierPlan,
+    hier_all_gather,
+    hier_reduce_scatter,
+)
+from collkit.simnet import StepCoster
+from collkit.transport import InProcessTransport, run_ranks
 from collkit.transport.base import (
     COLLECTIVE_TAGS_PER_COMM,
     STEP_TAGS_PER_COLLECTIVE,
 )
 
 PHASE_OF_COMM_ID = {WORLD_COMM_ID: "flat", INTER_COMM_ID: "inter", INTRA_COMM_ID: "intra"}
+
+# Criterion 7's cells: (collective, algorithm, inter_alg, n_nodes, m_gpus,
+# elements per block).
+FIDELITY_CELLS = [
+    ("all_gather", "ring", "ring", 4, 1, 16),
+    ("reduce_scatter", "ring", "ring", 6, 1, 8),
+    ("all_gather", "recursive", "ring", 8, 1, 4),
+    ("reduce_scatter", "recursive", "ring", 16, 1, 4),
+    ("all_gather", "hierarchical", "recursive", 4, 4, 8),
+    ("reduce_scatter", "hierarchical", "ring", 2, 8, 8),
+]
 
 
 def replay_schedule(log_records, collective, algorithm):
@@ -30,6 +53,51 @@ def replay_schedule(log_records, collective, algorithm):
     order = [key for ph in phases for key in sorted(k for k in buckets if k[0] == ph)]
     assert len(order) == len(buckets), "log contains unexpected phases"
     return [sorted(buckets[key]) for key in order]
+
+
+def inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed):
+    """Run one collective on the in-process backend over ``topo`` and
+    return its message log. Each rank's input is integer-valued, drawn
+    from ``seed``: ``n_elems`` elements for all-gather, ``p * n_elems``
+    for reduce-scatter."""
+    p = topo.world_size
+    transport = InProcessTransport(p)
+    log = transport.start_logging()
+    rng = np.random.default_rng(seed)
+    size = n_elems if collective == "all_gather" else n_elems * p
+    inputs = [rng.integers(-8, 8, size=size).astype(np.float32) for _ in range(p)]
+    if algorithm == "hierarchical":
+        plan = HierPlan(topo=topo, inter_alg=inter_alg)
+        op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
+        fn = lambda c: op(plan, c, inputs[c.rank])  # noqa: E731
+    else:
+        op = getattr(collectives, collective)
+        fn = lambda c: op(c, algorithm, inputs[c.rank])  # noqa: E731
+    run_ranks(p, fn, transport=transport)
+    return log
+
+
+def price_log(config, log_records, collective, algorithm):
+    """Price a real run's log as :func:`collkit.simnet.simulate` prices its
+    schedule: each step of :func:`replay_schedule` through one
+    ``StepCoster.charge_step``, a reduce-scatter step with one
+    ``(dst, nbytes)`` reduction per message. Returns (seconds, counters,
+    step count).
+
+    Steps are charged in sorted message order, not the simulator's group
+    order, and the log's own order follows thread timing. The seconds still
+    match bit for bit: within one step every message carries the same
+    ``width * block`` bytes, so each resource's ``bincount`` adds equal
+    charges, and their sum does not depend on the order.
+    """
+    coster = StepCoster(config)
+    steps = replay_schedule(log_records, collective, algorithm)
+    reduces = collective == "reduce_scatter"
+    seconds = 0.0
+    for step in steps:
+        reductions = [(dst, nbytes) for _, dst, nbytes in step] if reduces else ()
+        seconds += coster.charge_step(step, reductions)[0]
+    return seconds, coster.counters, len(steps)
 
 
 def simulated_step_multisets(result):

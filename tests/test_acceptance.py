@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import replay_schedule, simulated_step_multisets
+from conftest import FIDELITY_CELLS, inprocess_log, replay_schedule, simulated_step_multisets
 
 from collkit import collectives
 from collkit.bench.sweep import RunRecord, SweepConfig, calibrate_selector, run_sweep, summarize
@@ -18,7 +18,6 @@ from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.simnet import SimConfig, compare_policies, reduce_profile_gap, simulate
 from collkit.topology import Topology
-from collkit.transport import InProcessTransport
 from collkit.transport.inprocess import run_ranks
 
 
@@ -226,16 +225,6 @@ def test_criterion_6_crossover_quadrants():
     )
 
 
-FIDELITY_CELLS = [
-    ("all_gather", "ring", "ring", 4, 1, 16),
-    ("reduce_scatter", "ring", "ring", 6, 1, 8),
-    ("all_gather", "recursive", "ring", 8, 1, 4),
-    ("reduce_scatter", "recursive", "ring", 16, 1, 4),
-    ("all_gather", "hierarchical", "recursive", 4, 4, 8),
-    ("reduce_scatter", "hierarchical", "ring", 2, 8, 8),
-]
-
-
 def test_criterion_7_schedule_fidelity():
     """The simulator's per-step message multiset equals the instrumented
     in-process transport log exactly, for six sampled cells."""
@@ -244,28 +233,7 @@ def test_criterion_7_schedule_fidelity():
         topo = topo_for(n_nodes, m_gpus)
         p = topo.world_size
         m_bytes = p * n_elems * 4
-        transport = InProcessTransport(p)
-        log = transport.start_logging()
-        rng = np.random.default_rng(p)
-        if collective == "all_gather":
-            inputs = [rng.integers(-8, 8, size=n_elems).astype(np.float32) for _ in range(p)]
-        else:
-            inputs = [
-                rng.integers(-8, 8, size=n_elems * p).astype(np.float32) for _ in range(p)
-            ]
-        if algorithm == "hierarchical":
-            plan = HierPlan(topo=topo, inter_alg=inter_alg)
-            op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
-            fn = lambda c: op(plan, c, inputs[c.rank])  # noqa: E731
-        else:
-            flat = {
-                ("all_gather", "ring"): collectives.ring_all_gather,
-                ("reduce_scatter", "ring"): collectives.ring_reduce_scatter,
-                ("all_gather", "recursive"): collectives.recdbl_all_gather,
-                ("reduce_scatter", "recursive"): collectives.rechalf_reduce_scatter,
-            }[(collective, algorithm)]
-            fn = lambda c: flat(c, inputs[c.rank])  # noqa: E731
-        run_ranks(p, fn, transport=transport)
+        log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=p)
         real_steps = replay_schedule(log.records, collective, algorithm)
 
         sim = simulate(

@@ -108,6 +108,33 @@ def test_config_file_enum_typo_is_a_clean_error(tmp_path, capsys):
     assert "nic_policy" in capsys.readouterr().err
 
 
+def test_config_file_line_without_equals_is_a_clean_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("backend = sim\nsizes 1M\n")
+    rc = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: expected key=value")
+
+
+def test_config_file_unconvertible_value_is_a_clean_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("backend = sim\ntrials = ten\n")
+    rc = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: trials = 'ten'")
+
+
+def test_malformed_host_file_is_a_clean_error(tmp_path, capsys):
+    hosts = tmp_path / "hosts"
+    hosts.write_text("0 127.0.0.1 port\n")
+    rc = cli.main(
+        ["sweep", "--backend", "socket", "--hostfile", str(hosts), "--rank", "0",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {hosts}:1: expected 'rank host port'")
+
+
 def test_config_topology_keys_form_single_cell_grid(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text(

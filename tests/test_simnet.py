@@ -1,14 +1,20 @@
 import dataclasses
+import itertools
 import json
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from conftest import replay_schedule, simulated_step_multisets
+from conftest import (
+    FIDELITY_CELLS,
+    inprocess_log,
+    price_log,
+    replay_schedule,
+    simulated_step_multisets,
+)
 from hypothesis import given, settings, strategies as st
 
-from collkit import collectives
 from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.errors import (
     ConfigMismatch,
@@ -18,8 +24,10 @@ from collkit.errors import (
     NotDivisible,
     Unsupported,
 )
-from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.simnet import (
+    NIC_POLICIES,
+    PHYS_TOPOLOGIES,
+    REDUCE_PROFILES,
     NicCounters,
     SimConfig,
     SimStep,
@@ -34,8 +42,6 @@ from collkit.simnet import (
     trace_to_jsonl,
 )
 from collkit.topology import Topology
-from collkit.transport import InProcessTransport
-from collkit.transport.inprocess import run_ranks
 
 
 def cfg(topo, params=None, **kw):
@@ -503,31 +509,6 @@ def test_step1_concurrency_across_groups():
     assert math.isclose(hier_inter_time, alone, rel_tol=1e-12)
 
 
-def _inprocess_log(topo, collective, algorithm, inter_alg, n_elems):
-    p = topo.world_size
-    transport = InProcessTransport(p)
-    log = transport.start_logging()
-    rng = np.random.default_rng(42)
-    if collective == "all_gather":
-        inputs = [rng.integers(-8, 8, size=n_elems).astype(np.float32) for _ in range(p)]
-    else:
-        inputs = [rng.integers(-8, 8, size=n_elems * p).astype(np.float32) for _ in range(p)]
-    if algorithm == "hierarchical":
-        plan = HierPlan(topo=topo, inter_alg=inter_alg)
-        op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
-        fn = lambda c: op(plan, c, inputs[c.rank])  # noqa: E731
-    else:
-        flat = {
-            ("all_gather", "ring"): collectives.ring_all_gather,
-            ("reduce_scatter", "ring"): collectives.ring_reduce_scatter,
-            ("all_gather", "recursive"): collectives.recdbl_all_gather,
-            ("reduce_scatter", "recursive"): collectives.rechalf_reduce_scatter,
-        }[(collective, algorithm)]
-        fn = lambda c: flat(c, inputs[c.rank])  # noqa: E731
-    run_ranks(p, fn, transport=transport)
-    return log
-
-
 @pytest.mark.parametrize(
     "collective,algorithm,inter_alg,n_nodes,m_gpus",
     [
@@ -543,13 +524,71 @@ def test_schedule_fidelity_against_instrumented_run(
     p = topo.world_size
     n_elems = 4
     m_bytes = p * n_elems * 4
-    log = _inprocess_log(topo, collective, algorithm, inter_alg, n_elems)
+    log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=42)
     real_steps = replay_schedule(log.records, collective, algorithm)
     sim = simulate(
         cfg(topo), collective, algorithm, m_bytes,
         inter_alg=inter_alg, record_messages=True,
     )
     assert simulated_step_multisets(sim) == real_steps
+
+
+# Criterion 7's cells, two hierarchical cells with longer inter phases, and
+# three small shapes: eight ranks (ring step count), one node (no NIC
+# traffic) and two nodes (the inter-node alpha).
+PRICED_LOG_CELLS = FIDELITY_CELLS + [
+    ("all_gather", "hierarchical", "ring", 8, 8, 4),
+    ("reduce_scatter", "hierarchical", "recursive", 4, 4, 4),
+    ("all_gather", "ring", "ring", 8, 1, 4),
+    ("all_gather", "ring", "ring", 1, 4, 4),
+    ("all_gather", "ring", "ring", 2, 1, 8),
+]
+
+
+def _flat_steps(algorithm, p):
+    return p - 1 if algorithm == "ring" else p.bit_length() - 1
+
+
+@pytest.mark.parametrize(
+    "collective,algorithm,inter_alg,n_nodes,m_gpus,n_elems", PRICED_LOG_CELLS
+)
+def test_real_run_logs_price_exactly_like_simulate(
+    collective, algorithm, inter_alg, n_nodes, m_gpus, n_elems
+):
+    """An in-process run's log, priced step by step, gives the very
+    seconds, NIC counters and step count of ``simulate``: for every NIC
+    count that divides M, under every NIC policy, physical topology and
+    reduce profile, at two inter-node alphas. The slow reduction, 1 us per
+    byte, sets the makespan of these small reduce-scatter steps, so their
+    reductions must be priced too."""
+    if algorithm == "hierarchical":
+        want_steps = _flat_steps(inter_alg, n_nodes) + _flat_steps("ring", m_gpus)
+    else:
+        want_steps = _flat_steps(algorithm, n_nodes * m_gpus)
+    for nics in (k for k in (1, 2, 4) if m_gpus % k == 0):
+        topo = Topology(n_nodes, m_gpus, nics)
+        p = topo.world_size
+        m_bytes = p * n_elems * 4
+        log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=p)
+        for policy, phys, profile in itertools.product(
+            NIC_POLICIES, PHYS_TOPOLOGIES, REDUCE_PROFILES
+        ):
+            seconds = []
+            for alpha in (1e-6, 1e-3):
+                params = CostParams(alpha_inter=alpha, gamma_reduce_slow=1e-6)
+                config = SimConfig(topo, params, policy, phys, profile)
+                got, counters, steps = price_log(config, log.records, collective, algorithm)
+                sim = simulate(config, collective, algorithm, m_bytes, inter_alg)
+                assert got == sim.seconds
+                assert counters == sim.counters
+                assert steps == len(sim.trace.steps) == want_steps
+                seconds.append(got)
+            if n_nodes == 1:
+                assert counters.total_bytes_out() == counters.total_bytes_in() == 0
+                assert seconds[0] == seconds[1] > 0
+            else:
+                assert counters.total_bytes_out() == counters.total_bytes_in() > 0
+                assert seconds[1] > seconds[0]
 
 
 def test_trace_jsonl_export(tmp_path):

@@ -106,6 +106,19 @@ def test_sendrecv_with_self_rejected():
         run_ranks(1, lambda comm: comm.sendrecv(0, 0, b""))
 
 
+def test_rank_error_reaches_caller_while_peer_blocks():
+    """Rank 1 fails while rank 0 waits in ``recv`` for a message rank 1
+    will never send; the caller still gets rank 1's error."""
+
+    def fn(comm):
+        if comm.rank == 1:
+            raise ValueError("boom")
+        comm.recv(1, 0)
+
+    with pytest.raises(ValueError, match="boom"):
+        run_ranks(2, fn)
+
+
 def test_barrier_single_rank_returns():
     run_ranks(1, lambda comm: comm.barrier())
 
