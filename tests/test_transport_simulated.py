@@ -1,21 +1,26 @@
-"""The virtual-time backend must produce the same collective outputs as the
-real backends, with a deterministic clock."""
+"""A collective gives the same outputs on the in-process and socket
+backends, and its in-process run prices exactly like the simulator's
+schedule of it."""
 import threading
 
 import numpy as np
 import pytest
+from conftest import price_log
 
 from collkit.collectives import (
-    recdbl_all_gather,
     rechalf_reduce_scatter,
     ring_all_gather,
     ring_reduce_scatter,
 )
-from collkit.costmodel import CostParams
-from collkit.hierarchy import HierPlan, hier_all_gather
+from collkit.simnet import SimConfig, simulate
 from collkit.topology import Topology
-from collkit.transport import Communicator, connect_local_mesh, run_ranks_virtual
-from collkit.transport.inprocess import run_ranks
+from collkit.transport import Communicator, InProcessTransport, connect_local_mesh, run_ranks
+
+SIM_NAMES = {
+    ring_all_gather: ("all_gather", "ring"),
+    rechalf_reduce_scatter: ("reduce_scatter", "recursive"),
+    ring_reduce_scatter: ("reduce_scatter", "ring"),
+}
 
 
 def _inputs(p, n, seed=7):
@@ -54,80 +59,18 @@ def test_backend_equivalent_outputs(collective, n_per_rank):
     p = 4
     inputs = _inputs(p, n_per_rank)
     fn = lambda comm: collective(comm, inputs[comm.rank])  # noqa: E731
-    inproc = run_ranks(p, fn)
-    virtual, _vt = run_ranks_virtual(Topology(p, 1, 1), fn)
+    transport = InProcessTransport(p)
+    log = transport.start_logging()
+    inproc = run_ranks(p, fn, transport=transport)
     sockets = _run_socket(p, fn)
     for r in range(p):
-        assert np.array_equal(inproc[r], virtual[r])
         assert np.array_equal(inproc[r], sockets[r])
 
-
-def test_virtual_clock_is_deterministic():
-    topo = Topology(4, 2, 1)
-    inputs = _inputs(topo.world_size, 8)
-    fn = lambda comm: recdbl_all_gather(comm, inputs[comm.rank])  # noqa: E731
-    _, vt1 = run_ranks_virtual(topo, fn)
-    _, vt2 = run_ranks_virtual(topo, fn)
-    assert vt1.virtual_seconds == vt2.virtual_seconds > 0.0
-    assert vt1.steps == vt2.steps
-
-
-def test_virtual_step_count_matches_algorithm():
-    topo = Topology(8, 1, 1)
-    inputs = _inputs(8, 4)
-    _, vt_ring = run_ranks_virtual(topo, lambda c: ring_all_gather(c, inputs[c.rank]))
-    assert vt_ring.steps == 7
-    _, vt_rec = run_ranks_virtual(topo, lambda c: recdbl_all_gather(c, inputs[c.rank]))
-    assert vt_rec.steps == 3
-
-
-def test_virtual_hierarchical_runs_and_matches():
-    topo = Topology(2, 4, 2)
-    p = topo.world_size
-    inputs = _inputs(p, 5)
-    plan = HierPlan(topo=topo, inter_alg="ring")
-    outs, vt = run_ranks_virtual(topo, lambda c: hier_all_gather(plan, c, inputs[c.rank]))
-    want = np.concatenate(inputs)
-    assert all(np.array_equal(o, want) for o in outs)
-    assert vt.counters.total_bytes_out() == vt.counters.total_bytes_in() > 0
-
-
-def test_virtual_deadlock_detection():
-    topo = Topology(2, 1, 1)
-
-    def fn(comm):
-        if comm.rank == 0:
-            comm.recv(1, 99)  # never sent
-
-    with pytest.raises(RuntimeError, match="deadlock"):
-        run_ranks_virtual(topo, fn)
-
-
-def test_virtual_rank_error_propagates():
-    topo = Topology(2, 1, 1)
-
-    def fn(comm):
-        if comm.rank == 1:
-            raise ValueError("boom")
-        comm.recv(1, 0)
-
-    with pytest.raises(ValueError, match="boom"):
-        run_ranks_virtual(topo, fn)
-
-
-def test_intra_only_traffic_never_touches_nics():
-    topo = Topology(1, 4, 2)
-    inputs = _inputs(4, 4)
-    _, vt = run_ranks_virtual(topo, lambda c: ring_all_gather(c, inputs[c.rank]))
-    assert vt.counters.total_bytes_out() == 0
-    assert vt.counters.total_bytes_in() == 0
-    assert vt.virtual_seconds > 0
-
-
-def test_virtual_time_uses_cost_params():
-    topo = Topology(2, 1, 1)
-    inputs = _inputs(2, 8)
-    fn = lambda comm: ring_all_gather(comm, inputs[comm.rank])  # noqa: E731
-    _, slow = run_ranks_virtual(topo, fn, CostParams(alpha_inter=1e-3))
-    _, fast = run_ranks_virtual(topo, fn, CostParams(alpha_inter=1e-6))
-    assert slow.virtual_seconds > fast.virtual_seconds
+    name, algorithm = SIM_NAMES[collective]
+    block = n_per_rank if name == "all_gather" else n_per_rank // p
+    config = SimConfig(Topology(p, 1, 1))
+    seconds, counters, steps = price_log(config, log.records, name, algorithm)
+    sim = simulate(config, name, algorithm, p * block * 4)
+    assert seconds == sim.seconds > 0
+    assert counters == sim.counters
+    assert steps == len(sim.trace.steps)
