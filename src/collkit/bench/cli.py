@@ -212,6 +212,18 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_number(name: str, convert, default):
+    """The environment variable ``name`` converted by ``convert``, or
+    ``default`` when it is unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise Unsupported(f"{name}={text!r} is not a valid {convert.__name__}") from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     apply_config_file(args, overrides={"nodes": int})
     backend = args.backend or "inprocess"
@@ -240,16 +252,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if backend == "socket":
             hostfile = args.hostfile or os.environ.get("COLLKIT_HOSTFILE")
-            rank_text = os.environ.get("COLLKIT_RANK")
-            rank_arg = args.rank if args.rank is not None else (
-                int(rank_text) if rank_text is not None else None
-            )
+            rank_arg = args.rank if args.rank is not None else _env_number("COLLKIT_RANK", int, None)
             if hostfile is None or rank_arg is None:
                 print("socket backend needs --hostfile and --rank", file=sys.stderr)
                 return 2
             timeout = args.connect_timeout
             if timeout is None:
-                timeout = float(os.environ.get("COLLKIT_CONNECT_TIMEOUT", 30.0))
+                timeout = _env_number("COLLKIT_CONNECT_TIMEOUT", float, 30.0)
             hosts = parse_host_file(hostfile)
             rank = rank_arg
             endpoint = SocketEndpoint(rank, hosts, connect_timeout=timeout)

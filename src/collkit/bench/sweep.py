@@ -101,7 +101,7 @@ class SweepConfig:
         if self.algorithm not in ("ring", "recursive", "hierarchical"):
             raise Unsupported(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise Unsupported(f"trials must be >= 1, got {self.trials}")
         for n_nodes, m_gpus in self.grid:
             p = n_nodes * m_gpus
             for m in self.sizes:

@@ -10,8 +10,8 @@ Each algorithm is written once, as a schedule over a p-rank group
 steps that send the same messages. A ring is one run of p-1 steps; a
 recursive algorithm is log2(p) runs of one step each. Two executors run a
 schedule against a communicator, one for all-gather and one for
-reduce-scatter; :func:`collkit.simnet.build_schedule` prices the very same
-runs, one priced step per run.
+reduce-scatter; :mod:`collkit.simnet` prices the very same runs, once per
+run.
 
 Data path: each hop copies its bytes once. A collective's first send is
 the one copy of the caller's data; after that, an all-gather forwards the
@@ -99,8 +99,8 @@ def schedule(collective: str, algorithm: str, p: int) -> tuple[Run, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _runs(collective: str, algorithm: str, p: int) -> tuple[Run, ...]:
-    """:func:`schedule`, kept for the executors, which run the same few
-    group sizes over and over."""
+    """:func:`schedule`, kept for the executors and the simulator, which
+    run the same few group sizes over and over."""
     return schedule(collective, algorithm, p)
 
 

@@ -58,20 +58,20 @@ class CostParams:
             return self.alpha_inter, self.beta_inter
         if level == "intra":
             return self.alpha_intra, self.beta_intra
-        raise ValueError(f"unknown level {level!r}")
+        raise Unsupported(f"unknown level {level!r}")
 
     def gamma(self, profile: str) -> float:
         if profile == "fast":
             return self.gamma_reduce_fast
         if profile == "slow":
             return self.gamma_reduce_slow
-        raise ValueError(f"unknown reduce profile {profile!r}")
+        raise Unsupported(f"unknown reduce profile {profile!r}")
 
 
 def t_ring(p: int, m_bytes: float, params: CostParams, level: str = "inter") -> float:
     """Modeled time of a p-rank ring collective over an m-byte buffer."""
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise Unsupported(f"p must be >= 1, got {p}")
     alpha, beta = params.alpha_beta(level)
     return alpha * (p - 1) + beta * m_bytes * (p - 1) / p
 
@@ -197,7 +197,7 @@ def choose_inter_algorithm(
     Table mode looks the winner up in a simulator-produced calibration.
     """
     if n_nodes < 2:
-        raise ValueError(f"selection needs at least 2 nodes, got {n_nodes}")
+        raise Unsupported(f"selection needs at least 2 nodes, got {n_nodes}")
     if mode not in SELECTOR_MODES:
         raise Unsupported(f"selection mode must be one of {SELECTOR_MODES}, got {mode!r}")
     if mode == "table":

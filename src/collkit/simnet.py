@@ -19,25 +19,44 @@ that step; virtual time is the sum of step makespans. Intra-node traffic
 never touches NICs or links. NIC byte/packet counters accumulate per NIC
 index (summed over nodes); packets are ``ceil(bytes / packet_bytes)``.
 
-Steps are numpy arrays, priced without a per-message Python loop. Results
-stay exact because every busy time is summed sequentially, in message
-order, by ``np.bincount``: the very additions, in the very order, of a
-message-by-message loop, so the seconds are bit-identical to one.
-Counters are integer sums. Simulated time adds up the step makespans in a
-Python loop, in step order.
+:class:`StepCoster` prices any step of ``(src, dst, bytes)`` messages as
+numpy arrays: each resource's busy time is an ``np.bincount``, which adds
+the charges one by one in message order, so its seconds are bit-identical
+to a message-by-message loop.
 
-A schedule states its repeats: it is a list of runs of identical steps
-(a ring phase is one run of p-1 steps, a recursive phase log2(p) runs of
-one). :func:`simulate` prices each run's step once, then adds its
-makespan once per step, in step order, and its integer NIC-counter
-deltas once per step, so results stay bit-identical to pricing every
-step, and the cost of a simulation grows with its runs, not its steps.
+:func:`simulate` prices the runs of identical steps that a schedule is
+made of (a ring phase is one run of p-1 steps, a recursive phase log2(p)
+runs of one) from a *census*: per run, its block width and step count,
+its message and reduction counts, whether any message is inter- or
+intra-node, the most inter-node messages on one NIC egress slot, one NIC
+ingress slot and one ring link, and the inter-node messages sent and
+received per NIC index. A census depends on the machine shape, the NIC
+policy, the physical topology and the phase's algorithm, never on sizes
+or costs, so it is built once and cached, and a run then costs a few
+float operations. Three properties of the schedules make it exact, and
+the census builder checks the first two:
+
+1. every rank sends at most one message per step, and reduces at most
+   once, so its busy time is ``0.0 + c``, which is ``c``;
+2. every message of a run carries ``width * block`` bytes, so a NIC or
+   link charged k times holds the sum of k equal charges ``w`` added in
+   sequence from ``0.0``, as ``np.bincount`` adds them;
+3. adding ``w >= 0`` never decreases a float, so the resource charged
+   most often holds the largest of those sums.
+
+Its makespan is then added once per step, in step order, and its integer
+NIC-counter deltas times its step count, so seconds, per-step traces and
+counters are ``==`` to charging every step of :func:`build_schedule`
+through :class:`StepCoster`.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,14 +169,6 @@ class StepCoster:
         self.gamma = config.params.gamma(config.reduce_profile)
         self.counters = NicCounters(nics=self.topo.nics_per_node)
 
-    def _nics_for(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        topo = self.topo
-        if self.config.nic_policy == "single_nic":
-            # All writes leave through NIC 0, all reads arrive at NIC K-1.
-            return np.zeros_like(src), np.full_like(dst, topo.nics_per_node - 1)
-        m, per_nic = topo.gpus_per_node, topo.gpus_per_nic
-        return src % m // per_nic, dst % m // per_nic
-
     def _count(self, nic_src: np.ndarray, nic_dst: np.ndarray, nbytes: np.ndarray) -> None:
         """Adds a step's inter-node bytes and packets to the NIC counters,
         in exact integer arithmetic: one ``np.add.at`` into a (4, K) array
@@ -208,29 +219,42 @@ class StepCoster:
         ]
         idx = np.flatnonzero(inter)
         i_src_node, i_dst_node, i_bytes = src_node[idx], dst_node[idx], nbytes[idx]
-        nic_src, nic_dst = self._nics_for(src[idx], dst[idx])
+        nic_src, nic_dst = _nic_slots(topo, self.config.nic_policy, src[idx], dst[idx])
         wire = params.beta_inter * i_bytes
         busy.append(np.bincount(i_src_node * nics + nic_src, wire))
         busy.append(np.bincount(i_dst_node * nics + nic_dst, wire))
         if self.config.phys_topology == "ring_of_nodes":
-            owner, a, b = ring_links(topo.num_nodes, i_src_node, i_dst_node)
-            # Link a -> a+1 is id 2a, link a -> a-1 is id 2a+1.
-            link = 2 * a + (b != (a + 1) % topo.num_nodes)
+            owner, link = _link_ids(topo.num_nodes, i_src_node, i_dst_node)
             busy.append(np.bincount(link, wire[owner]))
         self._count(nic_src, nic_dst, i_bytes)
         makespan = max((float(b.max()) for b in busy if b.size), default=0.0)
         if not record:
             return makespan, None
-        nics_src, nics_dst = [None] * len(msgs), [None] * len(msgs)
-        for i, s, d in zip(idx.tolist(), nic_src.tolist(), nic_dst.tolist()):
-            nics_src[i], nics_dst[i] = s, d
-        recorded = [
-            {"src": s, "dst": d, "bytes": b, "nic_src": ns, "nic_dst": nd}
-            for s, d, b, ns, nd in zip(
-                src.tolist(), dst.tolist(), nbytes.tolist(), nics_src, nics_dst
-            )
-        ]
-        return makespan, recorded
+        return makespan, _recorded(topo, self.config.nic_policy, msgs)
+
+
+def _nic_slots(topo: Topology, nic_policy: str, src: np.ndarray, dst: np.ndarray):
+    """The NIC index each message leaves through and arrives at."""
+    if nic_policy == "single_nic":
+        # All writes leave through NIC 0, all reads arrive at NIC K-1.
+        return np.zeros_like(src), np.full_like(dst, topo.nics_per_node - 1)
+    m, per_nic = topo.gpus_per_node, topo.gpus_per_nic
+    return src % m // per_nic, dst % m // per_nic
+
+
+def _recorded(topo: Topology, nic_policy: str, msgs: np.ndarray) -> list[dict]:
+    """One record per message of a step, in message order; an intra-node
+    message has no NICs."""
+    src, dst, nbytes = msgs.T
+    inter = src // topo.gpus_per_node != dst // topo.gpus_per_node
+    nic_src, nic_dst = _nic_slots(topo, nic_policy, src, dst)
+    return [
+        {"src": s, "dst": d, "bytes": b, "nic_src": ns if x else None, "nic_dst": nd if x else None}
+        for s, d, b, ns, nd, x in zip(
+            src.tolist(), dst.tolist(), nbytes.tolist(),
+            nic_src.tolist(), nic_dst.tolist(), inter.tolist(),
+        )
+    ]
 
 
 def _check_step(topo: Topology, msgs: np.ndarray, reds: np.ndarray) -> None:
@@ -264,6 +288,13 @@ def ring_links(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
     return owner, a, (a + direction) % n_nodes
 
 
+def _link_ids(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
+    """:func:`ring_links` as ``(owner, link)``: link a -> a+1 has id 2a,
+    link a -> a-1 id 2a+1."""
+    owner, a, b = ring_links(n_nodes, src_node, dst_node)
+    return owner, 2 * a + (b != (a + 1) % n_nodes)
+
+
 # --- schedules ---------------------------------------------------------------
 #
 # A schedule yields (messages, reductions, repeat) per run of identical
@@ -277,42 +308,57 @@ _NO_REDUCTIONS = np.empty((0, 2), dtype=np.int64)
 _NO_REDUCTIONS.flags.writeable = False
 
 
-def _phase(collective: str, algorithm: str, members: np.ndarray, m_bytes: int):
-    """Runs of one flat algorithm over ``m_bytes``, run at once by every
-    group of ``members`` (one row of world ranks per group): each step of
-    run j carries each group's run-j messages and reductions, group by
-    group."""
-    p = members.shape[1]
+def _members(topo: Topology, kind: str) -> np.ndarray:
+    """The groups of a phase, one row of world ranks per group: the whole
+    world, or (see collkit.topology) column j of the node-major grid for
+    the inter-node group of local rank j, row n for node n's group."""
+    grid = np.arange(topo.world_size, dtype=np.int64)
+    if kind == "world":
+        return grid.reshape(1, -1)
+    grid = grid.reshape(topo.num_nodes, topo.gpus_per_node)
+    return grid.T if kind == "inter" else grid
+
+
+def _plan(config: SimConfig, collective: str, algorithm: str, m_bytes: int, inter_alg: str):
+    """The phases of one collective run, in order, as ``(kind, algorithm,
+    block)``: the group kind (world, inter or intra), its flat algorithm
+    and the bytes of one block. Refuses every shape the schedules refuse."""
+    if collective not in COLLECTIVES:
+        raise Unsupported(f"unknown collective {collective!r}")
+    if algorithm not in ALGORITHMS:
+        raise Unsupported(f"unknown algorithm {algorithm!r}")
+    topo = config.topo
+    p = topo.world_size
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    block = m_bytes // p
+    if m_bytes < 0:
+        raise LengthMismatch(f"negative byte count {m_bytes}")
+    if algorithm != "hierarchical":
+        phases = [("world", algorithm, m_bytes // p)]
+    else:
+        sub_m = m_bytes // topo.gpus_per_node
+        inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
+        phases = [("inter", inter_alg, m_bytes // p), ("intra", "ring", sub_m)]
+        if collective == "reduce_scatter":
+            phases.reverse()
+    groups = {"world": p, "inter": topo.num_nodes, "intra": topo.gpus_per_node}
+    for kind, alg, _ in phases:
+        collectives._runs(collective, alg, groups[kind])
+    return phases
+
+
+def _phase(collective: str, algorithm: str, members: np.ndarray, block: int):
+    """Runs of one flat algorithm over blocks of ``block`` bytes, run at
+    once by every group of ``members``: each step of run j carries each
+    group's run-j messages and reductions, group by group."""
     reduces = collective == "reduce_scatter"
-    for run in collectives.schedule(collective, algorithm, p):
+    for run in collectives._runs(collective, algorithm, members.shape[1]):
         msgs = np.empty((members.size, 3), dtype=np.int64)
         msgs[:, 0] = members.reshape(-1)
         msgs[:, 1] = members[:, np.array(run.to)].reshape(-1)
         msgs[:, 2] = run.width * block
         msgs.flags.writeable = False
         yield msgs, msgs[:, ::2] if reduces else _NO_REDUCTIONS, run.count
-
-
-def _hier_schedule(config: SimConfig, collective: str, inter_alg: str, m_bytes: int):
-    topo = config.topo
-    p = topo.world_size
-    if m_bytes % p != 0:
-        raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    sub_m = m_bytes // topo.gpus_per_node
-    inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
-    # Row n holds node n's intra-node group, column j the inter-node group
-    # of local rank j (see collkit.topology).
-    intra = np.arange(p, dtype=np.int64).reshape(topo.num_nodes, topo.gpus_per_node)
-    inter = intra.T
-    if collective == "all_gather":
-        yield from _phase(collective, inter_alg, inter, sub_m)
-        yield from _phase(collective, "ring", intra, m_bytes)
-    else:
-        yield from _phase(collective, "ring", intra, m_bytes)
-        yield from _phase(collective, inter_alg, inter, sub_m)
 
 
 def build_schedule(
@@ -328,14 +374,106 @@ def build_schedule(
     ``m_bytes`` is the gathered output size for all-gather and the
     per-rank input size for reduce-scatter (both equal p times the block).
     """
-    if collective not in COLLECTIVES:
-        raise Unsupported(f"unknown collective {collective!r}")
-    if algorithm not in ALGORITHMS:
-        raise Unsupported(f"unknown algorithm {algorithm!r}")
-    if algorithm == "hierarchical":
-        return _hier_schedule(config, collective, inter_alg, m_bytes)
-    world = np.arange(config.topo.world_size, dtype=np.int64).reshape(1, -1)
-    return _phase(collective, algorithm, world, m_bytes)
+    phases = _plan(config, collective, algorithm, m_bytes, inter_alg)
+    return itertools.chain.from_iterable(
+        _phase(collective, alg, _members(config.topo, kind), block)
+        for kind, alg, block in phases
+    )
+
+
+# --- census ------------------------------------------------------------------
+
+
+class RunCensus(NamedTuple):
+    """What pricing a run of identical steps needs to know of its messages,
+    whatever the block size (see the module docstring)."""
+
+    width: int  # blocks per message
+    count: int  # steps in the run
+    messages: int
+    reductions: int
+    inter: bool  # any message crosses nodes
+    intra: bool  # any message stays on its node
+    egress: int  # most inter-node messages on one NIC egress slot, node*K + nic
+    ingress: int  # most inter-node messages on one NIC ingress slot
+    link: int  # most inter-node messages on one directed ring link
+    nic_out: tuple[int, ...]  # inter-node messages sent per NIC index
+    nic_in: tuple[int, ...]  # inter-node messages received per NIC index
+
+
+def _run_census(topo: Topology, nic_policy: str, phys_topology: str, msgs, reds, count) -> RunCensus:
+    """Census of one step of ``msgs`` and ``reds`` repeated ``count``
+    times. Checks that every rank sends at most once and reduces at most
+    once, and that every message carries the same bytes; the sizes are
+    taken as the run's width."""
+    src, dst, width = msgs.T
+    assert np.bincount(src).max(initial=0) <= 1, "a rank sends twice in one step"
+    assert np.bincount(reds[:, 0]).max(initial=0) <= 1, "a rank reduces twice in one step"
+    assert (width == width[0]).all() and (reds[:, 1] == width[0]).all(), "sizes differ in a step"
+    nics = topo.nics_per_node
+    src_node, dst_node = src // topo.gpus_per_node, dst // topo.gpus_per_node
+    inter = src_node != dst_node
+    src_node, dst_node = src_node[inter], dst_node[inter]
+    nic_src, nic_dst = _nic_slots(topo, nic_policy, src[inter], dst[inter])
+    link = 0
+    if phys_topology == "ring_of_nodes":
+        link = int(np.bincount(_link_ids(topo.num_nodes, src_node, dst_node)[1]).max(initial=0))
+    return RunCensus(
+        width=int(width[0]),
+        count=count,
+        messages=len(msgs),
+        reductions=len(reds),
+        inter=bool(inter.any()),
+        intra=not inter.all(),
+        egress=int(np.bincount(src_node * nics + nic_src).max(initial=0)),
+        ingress=int(np.bincount(dst_node * nics + nic_dst).max(initial=0)),
+        link=link,
+        nic_out=tuple(np.bincount(nic_src, minlength=nics).tolist()),
+        nic_in=tuple(np.bincount(nic_dst, minlength=nics).tolist()),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _census(
+    topo: Topology, nic_policy: str, phys_topology: str, kind: str, collective: str, algorithm: str
+) -> tuple[RunCensus, ...]:
+    """Census of every run of one phase, built from its schedule with
+    one-byte blocks, so a message's size is its width."""
+    return tuple(
+        _run_census(topo, nic_policy, phys_topology, msgs, reds, count)
+        for msgs, reds, count in _phase(collective, algorithm, _members(topo, kind), 1)
+    )
+
+
+def _makespan(run: RunCensus, b: int, params: CostParams, gamma: float) -> float:
+    """The makespan :meth:`StepCoster.charge_step` gives one step of
+    ``run`` with ``b`` bytes per message: the busiest NIC or link adds
+    its charges one by one, the way ``np.bincount`` does."""
+    wire = params.beta_inter * b
+    busy = 0.0
+    for _ in range(max(run.egress, run.ingress, run.link)):
+        busy += wire
+    if run.inter:
+        busy = max(busy, params.alpha_inter + wire)
+    if run.intra:
+        busy = max(busy, params.alpha_intra + params.beta_intra * b)
+    if run.reductions:
+        busy = max(busy, gamma * b)
+    return busy
+
+
+def _count(counters: NicCounters, run: RunCensus, b: int, packet_bytes: int) -> None:
+    """Adds every step of ``run``'s inter-node bytes and packets to the
+    NIC counters, in exact integer arithmetic."""
+    pkts = -(-b // packet_bytes)
+    for row, per_nic, amount in (
+        (counters.bytes_out, run.nic_out, b),
+        (counters.non_posted_pkts, run.nic_out, pkts),
+        (counters.bytes_in, run.nic_in, b),
+        (counters.posted_pkts, run.nic_in, pkts),
+    ):
+        for nic, n in enumerate(per_nic):
+            row[nic] += n * amount * run.count
 
 
 def simulate(
@@ -349,31 +487,38 @@ def simulate(
     """Run one collective schedule to completion under virtual time.
 
     Deterministic: identical inputs give bit-identical times, counters,
-    and traces. Each run of identical steps is priced once, unless
-    messages are recorded: its makespan is added once per step, in step
-    order, and its counter deltas once per step.
+    and traces. Each run of identical steps is priced once, from its
+    census: its makespan is added once per step, in step order, and its
+    integer counter deltas times its step count. Recorded messages are
+    attached to every step of their run.
     """
-    coster = StepCoster(config)
-    counters = coster.counters
-    nic_totals = (counters.bytes_in, counters.bytes_out, counters.posted_pkts, counters.non_posted_pkts)
+    topo, params = config.topo, config.params
+    gamma = params.gamma(config.reduce_profile)
+    counters = NicCounters(nics=topo.nics_per_node)
     trace = StepTrace()
     steps = trace.steps
     total = 0.0
-    schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
-    for messages, reductions, repeat in schedule:
+    for kind, alg, block in _plan(config, collective, algorithm, m_bytes, inter_alg):
+        census = _census(topo, config.nic_policy, config.phys_topology, kind, collective, alg)
+        recorded = itertools.repeat(None)
         if record_messages:
-            priced = [coster.charge_step(messages, reductions, record=True) for _ in range(repeat)]
-        else:
-            before = [list(row) for row in nic_totals]
-            priced = [coster.charge_step(messages, reductions)] * repeat
-            # The run's other steps add the very same integer deltas.
-            for row, old in zip(nic_totals, before):
-                row[:] = [n + (n - o) * (repeat - 1) for n, o in zip(row, old)]
-        count, reduced = len(messages), len(reductions)
-        bytes_total = int(messages[:, 2].sum())
-        for index, (makespan, recorded) in enumerate(priced, len(steps)):
-            total += makespan
-            steps.append(SimStep(index, makespan, count, bytes_total, reduced, recorded))
+            phase = _phase(collective, alg, _members(topo, kind), block)
+            recorded = (_recorded(topo, config.nic_policy, msgs) for msgs, _, _ in phase)
+        for run, messages in zip(census, recorded):
+            b = run.width * block
+            makespan = _makespan(run, b, params, gamma)
+            if run.inter:
+                _count(counters, run, b, params.packet_bytes)
+            size, first = run.messages * b, len(steps)
+            for _ in range(run.count):
+                total += makespan
+            steps += [
+                SimStep(
+                    index, makespan, run.messages, size, run.reductions,
+                    messages and list(map(dict, messages)),  # each step its own records
+                )
+                for index in range(first, first + run.count)
+            ]
     return SimResult(seconds=total, counters=counters, trace=trace)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import threading
 import time
 
-from ..errors import IndexOutOfRange
+from ..errors import IndexOutOfRange, PeerUnreachable, Timeout, Unsupported
 from .base import ChannelStore, Communicator, MessageLog, check_payload
 
 
@@ -16,7 +16,7 @@ class InProcessTransport:
 
     def __init__(self, num_ranks: int):
         if num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
+            raise Unsupported(f"num_ranks must be >= 1, got {num_ranks}")
         self.num_ranks = num_ranks
         self._store = ChannelStore()
         # One condition per rank over a shared lock: a send wakes only the
@@ -24,6 +24,7 @@ class InProcessTransport:
         self._lock = threading.Lock()
         self._conds = [threading.Condition(self._lock) for _ in range(num_ranks)]
         self.log: MessageLog | None = None
+        self._abort_reason: str | None = None
 
     def start_logging(self) -> MessageLog:
         self.log = MessageLog()
@@ -33,6 +34,15 @@ class InProcessTransport:
         if not 0 <= rank < self.num_ranks:
             raise IndexOutOfRange(f"rank {rank} not in [0, {self.num_ranks})")
         return InProcessEndpoint(self, rank)
+
+    def abort(self, reason: str) -> None:
+        """Wake every rank waiting in ``recv``, and make every ``recv``
+        that would wait from now on raise :class:`PeerUnreachable`."""
+        with self._lock:
+            if self._abort_reason is None:
+                self._abort_reason = reason
+            for cond in self._conds:
+                cond.notify_all()
 
     def max_in_flight(self) -> int:
         with self._lock:
@@ -57,6 +67,10 @@ class InProcessTransport:
                 data = self._store.try_pop(src, dst, tag)
                 if data is not None:
                     return data
+                if self._abort_reason is not None:
+                    raise PeerUnreachable(
+                        f"rank {dst} waited on rank {src}, tag {tag}: {self._abort_reason}"
+                    )
                 cond.wait()
 
 
@@ -72,12 +86,20 @@ class InProcessEndpoint:
         return self.transport._recv(self.rank, src, tag)
 
 
+# Ranks still running this long after they started are taken to be deadlocked.
+RANKS_TIMEOUT_S = 120.0
+
+
 def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> list:
     """Run ``fn(comm)`` once per rank on concurrent threads over a world
     communicator and return the per-rank results in rank order.
 
-    The first exception raised by any rank is re-raised in the caller after
-    all threads have been joined.
+    When a rank raises, the transport is aborted: every rank waiting in
+    ``recv``, or about to wait, gets :class:`PeerUnreachable`, so all
+    threads end and are joined. The caller then gets the error of the
+    lowest rank that failed on its own. Ranks still running after
+    :data:`RANKS_TIMEOUT_S` are aborted the same way, and :class:`Timeout`
+    is raised.
     """
     transport = transport or InProcessTransport(num_ranks)
     results: list = [None] * num_ranks
@@ -89,26 +111,24 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
             results[rank] = fn(comm)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append((rank, exc))
+            transport.abort(f"rank {rank} failed: {exc!r}")
 
     threads = [
-        threading.Thread(target=runner, args=(r,), daemon=True)
+        threading.Thread(target=runner, args=(r,), name=f"collkit-rank-{r}", daemon=True)
         for r in range(num_ranks)
     ]
     for t in threads:
         t.start()
-    deadline = time.monotonic() + 120.0
-    while any(t.is_alive() for t in threads):
-        if errors:
-            # A failed rank strands its peers mid-collective; give them a
-            # moment to fail on their own, then abandon the daemon threads.
-            grace = time.monotonic() + 1.0
-            while any(t.is_alive() for t in threads) and time.monotonic() < grace:
-                time.sleep(0.01)
-            break
-        if time.monotonic() > deadline:
-            raise RuntimeError("ranks did not finish (possible deadlock)")
-        time.sleep(0.002)
+    timeout = RANKS_TIMEOUT_S
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    if any(t.is_alive() for t in threads):
+        transport.abort(f"ranks did not finish within {timeout} s")
+        raise Timeout(f"ranks did not finish within {timeout} s (possible deadlock)")
     if errors:
-        errors.sort(key=lambda e: e[0])
+        # A rank woken by the abort fails with PeerUnreachable; report the
+        # failure that caused it.
+        errors.sort(key=lambda e: (isinstance(e[1], PeerUnreachable), e[0]))
         raise errors[0][1]
     return results

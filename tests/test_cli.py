@@ -1,5 +1,6 @@
 import threading
 
+import pytest
 
 from collkit.bench import cli
 from collkit.bench.sweep import SweepConfig, read_records_csv, run_sweep
@@ -133,6 +134,30 @@ def test_malformed_host_file_is_a_clean_error(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {hosts}:1: expected 'rank host port'")
+
+
+@pytest.mark.parametrize(
+    "name,value", [("COLLKIT_RANK", "zero"), ("COLLKIT_CONNECT_TIMEOUT", "soon")]
+)
+def test_unparsable_socket_environment_is_a_clean_error(tmp_path, capsys, monkeypatch, name, value):
+    hosts = tmp_path / "hosts"
+    hosts.write_text("0 127.0.0.1 1\n")
+    monkeypatch.setenv("COLLKIT_RANK", "0")
+    monkeypatch.setenv(name, value)
+    rc = cli.main(
+        ["sweep", "--backend", "socket", "--hostfile", str(hosts), "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}={value!r}")
+
+
+def test_zero_trials_is_a_clean_error(tmp_path, capsys):
+    rc = cli.main(
+        ["sweep", "--backend", "sim", "--sizes", "1M", "--grid", "2x2", "--trials", "0",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: trials must be >= 1")
 
 
 def test_config_topology_keys_form_single_cell_grid(tmp_path):

@@ -12,6 +12,7 @@ from collkit.collectives import (
 )
 from collkit.errors import LengthMismatch, NonPowerOfTwo, NotDivisible
 from collkit.transport import InProcessTransport
+from collkit.transport.base import COLLECTIVE_TAGS_PER_COMM, STEP_TAGS_PER_COLLECTIVE
 from collkit.transport.inprocess import run_ranks
 
 
@@ -213,3 +214,34 @@ def test_recursive_step_count_and_bytes_on_wire(p):
     assert all(v == int(math.log2(p)) for v in sends.values())
     # sum over steps of 2^k * n * 4 equals (p-1) * n * 4, same as ring
     assert all(v == (p - 1) * n * 4 for v in nbytes.values())
+
+
+def test_tag_sequence_wraps_safely_past_one_full_cycle():
+    """A communicator reuses its tag blocks after
+    ``COLLECTIVE_TAGS_PER_COMM // STEP_TAGS_PER_COLLECTIVE`` collectives.
+    Ranks cannot drift a whole cycle apart, since every collective waits
+    on its peer, so a reused block never meets a stale message: each of
+    more than a cycle of alternating ring all-gathers and reduce-scatters
+    returns its exact output."""
+    cycle = COLLECTIVE_TAGS_PER_COMM // STEP_TAGS_PER_COLLECTIVE
+    calls = cycle + 8
+
+    def fn(comm):
+        r = comm.rank
+        wrong = []
+        for i in range(calls):
+            if i % 2:
+                # Rank r contributes i + r to chunk 0 and 2i + r to chunk 1.
+                got = ring_reduce_scatter(comm, np.array([i + r, 2 * i + r], np.float32))
+                want = np.array([4 * i + 1 if r else 2 * i + 1], np.float32)
+            else:
+                got = ring_all_gather(comm, np.array([i, r], np.float32))
+                want = np.array([i, 0, i, 1], np.float32)
+            if got.tobytes() != want.tobytes():
+                wrong.append(i)
+        return wrong, comm.next_base_tag()
+
+    results = run_ranks(2, fn)
+    assert [wrong for wrong, _ in results] == [[], []]
+    # The next collective draws block ``calls % cycle``: the sequence wrapped.
+    assert [tag for _, tag in results] == [calls % cycle * STEP_TAGS_PER_COLLECTIVE] * 2

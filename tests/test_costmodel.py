@@ -120,8 +120,17 @@ def test_unknown_inter_algorithm_and_selection_mode_are_unsupported():
 
 
 def test_choose_requires_two_nodes():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         choose_inter_algorithm(1, 1 << 20, CostParams())
+
+
+def test_unknown_level_profile_and_empty_ring_are_unsupported():
+    with pytest.raises(Unsupported):
+        CostParams().alpha_beta("rack")
+    with pytest.raises(Unsupported):
+        CostParams().gamma("medium")
+    with pytest.raises(Unsupported):
+        t_ring(0, 1 << 20, CostParams())
 
 
 @given(c=st.floats(1e-3, 1e3), n=st.sampled_from([2, 4, 8, 32]), m=st.integers(1, 1 << 30))

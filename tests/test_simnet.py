@@ -15,6 +15,8 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
+from collkit import simnet
+from collkit.bench.sweep import calibrate_selector
 from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.errors import (
     ConfigMismatch,
@@ -229,44 +231,163 @@ def test_simulate_matches_charging_every_step(run):
 
 
 @pytest.fixture
-def charged(monkeypatch):
-    """The message counts of every ``StepCoster.charge_step`` call."""
+def priced(monkeypatch):
+    """The message counts of every run ``simulate`` prices."""
     calls = []
-    charge = StepCoster.charge_step
+    makespan = simnet._makespan
 
-    def counted(self, messages, reductions=(), record=False):
-        calls.append(len(messages))
-        return charge(self, messages, reductions, record)
+    def counted(run, *args):
+        calls.append(run.messages)
+        return makespan(run, *args)
 
-    monkeypatch.setattr(StepCoster, "charge_step", counted)
+    monkeypatch.setattr(simnet, "_makespan", counted)
     return calls
 
 
-def test_flat_ring_prices_one_step(charged):
+def test_flat_ring_prices_one_step(priced):
     topo = Topology(256, 8, 4)
     res = simulate(cfg(topo), "all_gather", "ring", topo.world_size * 64)
     assert len(res.trace.steps) == topo.world_size - 1
-    assert charged == [topo.world_size]
+    assert priced == [topo.world_size]
 
 
 @pytest.mark.parametrize("collective", ["all_gather", "reduce_scatter"])
-def test_hierarchical_recursive_prices_each_inter_step_and_one_intra_step(charged, collective):
+def test_hierarchical_recursive_prices_each_inter_step_and_one_intra_step(priced, collective):
     topo = Topology(8, 8, 4)
     res = simulate(cfg(topo), collective, "hierarchical", 64 << 10, inter_alg="recursive")
     assert len(res.trace.steps) == 3 + 7
-    assert len(charged) == 3 + 1
+    assert len(priced) == 3 + 1
 
 
-def test_flat_recursive_prices_every_step(charged):
+def test_flat_recursive_prices_every_step(priced):
     topo = Topology(16, 4, 2)
     simulate(cfg(topo), "reduce_scatter", "recursive", 64 << 10)
-    assert len(charged) == 6
+    assert len(priced) == 6
 
 
-def test_recorded_messages_price_every_step(charged):
-    res = simulate(cfg(Topology(4, 2, 1)), "all_gather", "ring", 8 << 10, record_messages=True)
-    assert len(charged) == len(res.trace.steps) == 7
-    assert all(step.messages for step in res.trace.steps)
+@pytest.mark.parametrize("record", [False, True])
+def test_simulate_makes_no_charge_step_calls(monkeypatch, record):
+    calls = []
+    monkeypatch.setattr(StepCoster, "charge_step", lambda *args, **kw: calls.append(args))
+    ring = simulate(cfg(Topology(4, 2, 1)), "all_gather", "ring", 8 << 10, record_messages=record)
+    hier = simulate(
+        cfg(Topology(4, 4, 2), phys_topology="ring_of_nodes", reduce_profile="slow"),
+        "reduce_scatter", "hierarchical", 64 << 10, inter_alg="recursive",
+        record_messages=record,
+    )
+    assert calls == []
+    assert len(ring.trace.steps) == 7
+    for step in ring.trace.steps + hier.trace.steps:
+        assert (step.messages is not None) == record
+        assert not record or len(step.messages) == step.message_count
+
+
+# Criterion 6's calibration grid, as the sim-links benchmark workload runs it.
+CALIBRATION_NODES = (4, 8, 16, 32, 64, 128)
+CALIBRATION_SIZES = tuple(2**i << 20 for i in range(4, 11))
+
+
+def test_calibration_builds_one_census_per_node_count_and_algorithm():
+    simnet._census.cache_clear()
+    calibrate_selector(
+        CALIBRATION_NODES,
+        CALIBRATION_SIZES,
+        CostParams(alpha_inter=40e-6, beta_inter=0.004e-9),
+        phys_topology="ring_of_nodes",
+    )
+    built = 2 * len(CALIBRATION_NODES)  # ring and recursive at each node count
+    info = simnet._census.cache_info()
+    assert info.misses == built
+    assert info.hits == built * (len(CALIBRATION_SIZES) - 1)
+
+
+def test_census_holds_per_nic_counts_not_per_rank_arrays():
+    topo = Topology(256, 8, 4)
+    for kind, algorithm in (("world", "ring"), ("inter", "recursive"), ("intra", "ring")):
+        census = simnet._census(topo, "balanced", "ring_of_nodes", kind, "all_gather", algorithm)
+        for run in census:
+            assert len(run.nic_out) == len(run.nic_in) == topo.nics_per_node
+            for value in run:
+                assert type(value) in (int, bool) or all(type(n) is int for n in value)
+
+
+def test_ring_of_nodes_recursive_step_is_set_by_its_busiest_link():
+    """On 16 ring-connected nodes the widest recursive exchange sends every
+    message 8 hops the same way round, so one link carries 32 of them while
+    a NIC carries 2: the link sets the makespan."""
+    params = CostParams(alpha_inter=1e-9, beta_inter=0.37e-9)
+    config = cfg(Topology(16, 4, 2), params, phys_topology="ring_of_nodes")
+    census = simnet._census(
+        config.topo, "balanced", "ring_of_nodes", "world", "reduce_scatter", "recursive"
+    )
+    assert max(run.link for run in census) == 32
+    assert max(max(run.egress, run.ingress) for run in census) == 2
+    m_bytes = 64 << 10
+    res = simulate(config, "reduce_scatter", "recursive", m_bytes)
+    want_seconds, want_steps, _ = charge_every_step(
+        config, "reduce_scatter", "recursive", m_bytes, "ring"
+    )
+    assert res.seconds == want_seconds
+    assert [s.makespan for s in res.trace.steps] == [s.makespan for s in want_steps]
+    wire = params.beta_inter * (m_bytes // 2)  # the first step's messages
+    assert res.trace.steps[0].makespan > 31 * wire
+
+
+@st.composite
+def census_steps(draw):
+    """A random machine and config and one step with the properties a
+    census needs: distinct senders, distinct reducers, and one size,
+    ``width * block``, for every message and reduction. Returns the step
+    with ``width`` and with ``width * block`` as its size."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    topo = Topology(draw(st.integers(1, 9)), m, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = CostParams(
+        alpha_inter=rng.uniform(0, 1e-4),
+        beta_inter=rng.uniform(0, 1e-9),
+        alpha_intra=rng.uniform(0, 1e-5),
+        beta_intra=rng.uniform(0, 1e-10),
+        gamma_reduce_fast=rng.uniform(0, 1e-11),
+        gamma_reduce_slow=rng.uniform(0, 1e-9),
+        packet_bytes=int(rng.integers(1, 5000)),
+    )
+    config = SimConfig(
+        topo=topo,
+        params=params,
+        nic_policy=draw(st.sampled_from(["balanced", "single_nic"])),
+        phys_topology=draw(st.sampled_from(["fully_connected", "ring_of_nodes"])),
+        reduce_profile=draw(st.sampled_from(["fast", "slow"])),
+    )
+    world = topo.world_size
+    src = rng.permutation(world)[: draw(st.integers(1, world))]
+    dst = rng.integers(0, world, len(src))
+    reducers = rng.permutation(world)[: draw(st.integers(0, world))]
+    width = draw(st.integers(1, 8))
+    block = 0 if rng.random() < 0.1 else int(rng.integers(1, 1 << 22))
+
+    def step(size):
+        msgs = np.stack([src, dst, np.full(len(src), size)], axis=1)
+        reds = np.stack([reducers, np.full(len(reducers), size)], axis=1)
+        return msgs.astype(np.int64).reshape(-1, 3), reds.astype(np.int64).reshape(-1, 2)
+
+    return config, step(width), step(width * block), width * block, draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=census_steps())
+def test_census_prices_a_run_like_charging_each_step(case):
+    config, (msgs, reds), (sized_msgs, sized_reds), b, count = case
+    topo, params = config.topo, config.params
+    coster = StepCoster(config)
+    for _ in range(count):
+        want, _ = coster.charge_step(sized_msgs, sized_reds)
+    run = simnet._run_census(topo, config.nic_policy, config.phys_topology, msgs, reds, count)
+    gamma = params.gamma(config.reduce_profile)
+    assert simnet._makespan(run, b, params, gamma) == want
+    counters = NicCounters(nics=topo.nics_per_node)
+    simnet._count(counters, run, b, params.packet_bytes)
+    assert counters == coster.counters
 
 
 def test_schedule_arrays_are_read_only():
@@ -475,6 +596,8 @@ def test_validation_errors():
         simulate(config, "all_gather", "recursive", 3 << 20)
     with pytest.raises(NotDivisible):
         simulate(config, "all_gather", "ring", 1000)
+    with pytest.raises(LengthMismatch):
+        simulate(config, "all_gather", "ring", -3 << 20)
     with pytest.raises(Unsupported):
         simulate(config, "all_to_all", "ring", 3 << 20)
     with pytest.raises(Unsupported):

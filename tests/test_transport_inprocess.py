@@ -5,8 +5,16 @@ import time
 
 import pytest
 
-from collkit.errors import IndexOutOfRange, LengthMismatch, SelfSend
+from collkit.errors import (
+    IndexOutOfRange,
+    LengthMismatch,
+    PeerUnreachable,
+    SelfSend,
+    Timeout,
+    Unsupported,
+)
 from collkit.transport import InProcessTransport
+from collkit.transport import inprocess
 from collkit.transport.inprocess import run_ranks
 
 
@@ -106,17 +114,58 @@ def test_sendrecv_with_self_rejected():
         run_ranks(1, lambda comm: comm.sendrecv(0, 0, b""))
 
 
+def _rank_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("collkit-rank-")]
+
+
 def test_rank_error_reaches_caller_while_peer_blocks():
     """Rank 1 fails while rank 0 waits in ``recv`` for a message rank 1
-    will never send; the caller still gets rank 1's error."""
+    will never send; the caller still gets rank 1's error, at once, and
+    the woken rank 0 fails with ``PeerUnreachable`` instead of hanging."""
+    woken = []
 
     def fn(comm):
         if comm.rank == 1:
+            time.sleep(0.05)  # let rank 0 block first
             raise ValueError("boom")
-        comm.recv(1, 0)
+        try:
+            comm.recv(1, 0)
+        except PeerUnreachable as exc:
+            woken.append(exc)
+            raise
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="boom"):
+        run_ranks(2, fn)
+    assert time.monotonic() - start < 0.5
+    assert len(woken) == 1 and "rank 1 failed" in str(woken[0])
+    assert _rank_threads() == []
+
+
+def test_recv_after_a_rank_failed_raises_instead_of_waiting():
+    def fn(comm):
+        if comm.rank == 0:
+            raise ValueError("boom")
+        time.sleep(0.05)  # rank 0 has failed by now
+        comm.recv(0, 0)
 
     with pytest.raises(ValueError, match="boom"):
         run_ranks(2, fn)
+    assert _rank_threads() == []
+
+
+def test_deadlocked_ranks_time_out_and_are_released(monkeypatch):
+    monkeypatch.setattr(inprocess, "RANKS_TIMEOUT_S", 0.1)
+    with pytest.raises(Timeout):
+        run_ranks(2, lambda comm: comm.recv(1 - comm.rank, 0))
+    for t in _rank_threads():
+        t.join(1.0)
+    assert _rank_threads() == []
+
+
+def test_zero_ranks_is_refused():
+    with pytest.raises(Unsupported):
+        InProcessTransport(0)
 
 
 def test_barrier_single_rank_returns():
