@@ -13,35 +13,40 @@ the file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .. import simnet
 from ..costmodel import CostParams
-from ..errors import CollkitError, Unsupported
+from ..errors import CollkitError, Unsupported, VerificationFailed
+from ..transport.inprocess import run_ranks
 from ..transport.sockets import SocketEndpoint, parse_host_file
 from . import sweep as sweepmod
 
 COLLECTIVE_NAMES = {"ag": "all_gather", "rs": "reduce_scatter"}
 SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
-PARAM_KEYS = (
-    "alpha_inter",
-    "beta_inter",
-    "alpha_intra",
-    "beta_intra",
-    "gamma_fast",
-    "gamma_slow",
-    "packet_bytes",
+# (flag dest, CostParams field, help); each flag takes its field's type.
+COST_FLAGS = (
+    ("alpha_inter", "alpha_inter", "inter-node startup seconds/message"),
+    ("beta_inter", "beta_inter", "inter-node seconds/byte"),
+    ("alpha_intra", "alpha_intra", "intra-node startup seconds/message"),
+    ("beta_intra", "beta_intra", "intra-node seconds/byte"),
+    ("gamma_fast", "gamma_reduce_fast", "fast reduction seconds/byte"),
+    ("gamma_slow", "gamma_reduce_slow", "slow reduction seconds/byte"),
+    ("packet_bytes", "packet_bytes", "packet size for NIC counters"),
 )
+STORE_TRUE_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_size(text: str) -> int:
     text = text.strip().lower()
     if text and text[-1] in SIZE_SUFFIXES:
-        return int(float(text[:-1]) * SIZE_SUFFIXES[text[-1]])
+        try:
+            return int(float(text[:-1]) * SIZE_SUFFIXES[text[-1]])
+        except OverflowError:
+            raise ValueError(f"size out of range: {text!r}") from None
     return int(text)
 
 
@@ -79,135 +84,111 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-def apply_config_file(args: argparse.Namespace, overrides: dict | None = None) -> None:
-    """Fill every still-unset option from the config file."""
-    if not getattr(args, "config", None):
-        return
-    file_values = load_config_file(args.config)
-    converters = {
-        "sizes": parse_sizes,
-        "grid": parse_grid,
-        "nodes": parse_int_list,
-        "trials": int,
-        "seed": int,
-        "rank": int,
-        "gpus_per_node": int,
-        "nics_per_node": int,
-        "packet_bytes": int,
-        "connect_timeout": float,
-        "verify": lambda v: v.lower() in ("1", "true", "yes"),
-        "warmup": lambda v: v.lower() in ("1", "true", "yes"),
-    }
-    for key in PARAM_KEYS:
-        converters.setdefault(key, float)
-    converters.update(overrides or {})
-    for key, raw in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill every still-unset option of ``parser`` from ``args.config``.
+    Keys are option dests; each value is converted and checked exactly as
+    its flag would be."""
+    actions = {a.dest: a for a in parser._actions if a.option_strings and hasattr(args, a.dest)}
+    for key, raw in load_config_file(args.config).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             continue
-        if getattr(args, attr) is None or getattr(args, attr) is False:
-            convert = converters.get(attr, str)
+        current = getattr(args, action.dest)
+        if current is None or current is False:
             try:
-                setattr(args, attr, convert(raw))
+                setattr(args, action.dest, _config_value(action, raw))
             except ValueError as exc:
                 raise Unsupported(f"{args.config}: {key} = {raw!r}: {exc}") from None
 
 
+def _config_value(action: argparse.Action, raw: str):
+    """``raw`` converted by the option's ``type`` and checked against its
+    ``choices``; a store-true option takes one of ``STORE_TRUE_WORDS``."""
+    if action.nargs == 0:
+        if raw.lower() not in STORE_TRUE_WORDS:
+            raise ValueError(f"expected one of {', '.join(STORE_TRUE_WORDS)}")
+        return STORE_TRUE_WORDS[raw.lower()]
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {', '.join(action.choices)}")
+    return value
+
+
 def build_params(args: argparse.Namespace) -> CostParams:
-    params = CostParams()
-    overrides = {}
-    mapping = {
-        "alpha_inter": "alpha_inter",
-        "beta_inter": "beta_inter",
-        "alpha_intra": "alpha_intra",
-        "beta_intra": "beta_intra",
-        "gamma_fast": "gamma_reduce_fast",
-        "gamma_slow": "gamma_reduce_slow",
-        "packet_bytes": "packet_bytes",
-    }
-    for arg_name, field_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    return dataclasses.replace(params, **overrides) if overrides else params
+    return CostParams(**_given(**{field: getattr(args, dest) for dest, field, _ in COST_FLAGS}))
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("cost model")
-    group.add_argument("--alpha-inter", type=float, help="inter-node startup seconds/message")
-    group.add_argument("--beta-inter", type=float, help="inter-node seconds/byte")
-    group.add_argument("--alpha-intra", type=float, help="intra-node startup seconds/message")
-    group.add_argument("--beta-intra", type=float, help="intra-node seconds/byte")
-    group.add_argument("--gamma-fast", type=float, help="fast reduction seconds/byte")
-    group.add_argument("--gamma-slow", type=float, help="slow reduction seconds/byte")
-    group.add_argument("--packet-bytes", type=int, help="packet size for NIC counters")
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy", choices=simnet.NIC_POLICIES, default=None, dest="nic_policy",
-        help="NIC assignment policy (simulated backend)",
-    )
-    parser.add_argument(
-        "--phys", choices=simnet.PHYS_TOPOLOGIES, default=None, dest="phys_topology",
-        help="physical inter-node topology (simulated backend)",
-    )
-    parser.add_argument(
-        "--profile", choices=simnet.REDUCE_PROFILES, default=None, dest="reduce_profile",
-        help="reduction throughput profile (simulated backend)",
-    )
+def _given(**values) -> dict:
+    """``values`` without the entries left unset (None), so that the callee's
+    own defaults apply to them."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """Options left unset stay None (False for switches): a config file may
+    fill them, and the defaults of ``SweepConfig`` and ``calibrate_selector``
+    apply to the rest."""
     parser = argparse.ArgumentParser(
         prog="bench",
         description="Collective-communication benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sweep", help="run a benchmark sweep")
-    sp.add_argument("--config", help="key=value config file; flags override")
-    sp.add_argument("--backend", choices=sweepmod.BACKENDS, default=None)
-    sp.add_argument("--collective", choices=sorted(COLLECTIVE_NAMES), default=None)
-    sp.add_argument("--algo", choices=("ring", "recursive", "hierarchical"), default=None)
-    sp.add_argument("--inter", choices=("ring", "recursive", "auto"), default=None)
-    sp.add_argument("--sizes", type=parse_sizes, default=None, help="e.g. 16M,64M,1G")
-    sp.add_argument("--grid", type=parse_grid, default=None, help="NxM cells, e.g. 2x4,4x8")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--verify", action="store_true", default=False)
-    sp.add_argument("--warmup", action="store_true", default=False,
+    # Options shared by sweep and calibrate.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="key=value config file; flags override")
+    shared.add_argument("--collective", choices=sorted(COLLECTIVE_NAMES))
+    shared.add_argument("--sizes", type=parse_sizes, help="e.g. 16M,64M,1G")
+    shared.add_argument(
+        "--phys", choices=simnet.PHYS_TOPOLOGIES, dest="phys_topology",
+        help="physical inter-node topology (simulated backend)",
+    )
+    cost = shared.add_argument_group("cost model")
+    defaults = CostParams()
+    for dest, field_name, help_text in COST_FLAGS:
+        cost.add_argument(
+            "--" + dest.replace("_", "-"), type=type(getattr(defaults, field_name)), help=help_text
+        )
+
+    sp = sub.add_parser("sweep", parents=[shared], help="run a benchmark sweep")
+    sp.set_defaults(run=cmd_sweep, parser=sp)
+    sp.add_argument("--backend", choices=sweepmod.BACKENDS)
+    sp.add_argument("--algo", choices=("ring", "recursive", "hierarchical"))
+    sp.add_argument("--inter", choices=("ring", "recursive", "auto"))
+    sp.add_argument("--grid", type=parse_grid, help="NxM cells, e.g. 2x4,4x8")
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--verify", action="store_true")
+    sp.add_argument("--warmup", action="store_true",
                     help="run and record one extra leading trial; summaries drop it")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--nodes", type=int, default=None,
+    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--nodes", type=int,
                     help="single-cell topology: node count (with --gpus-per-node)")
-    sp.add_argument("--gpus-per-node", type=int, default=None)
-    sp.add_argument("--nics-per-node", type=int, default=None)
-    sp.add_argument("--hostfile", default=None,
-                    help="socket backend host file (env COLLKIT_HOSTFILE)")
-    sp.add_argument("--rank", type=int, default=None,
-                    help="socket backend rank id (env COLLKIT_RANK)")
-    sp.add_argument("--connect-timeout", type=float, default=None,
+    sp.add_argument("--gpus-per-node", type=int)
+    sp.add_argument("--nics-per-node", type=int)
+    sp.add_argument("--hostfile", help="socket backend host file (env COLLKIT_HOSTFILE)")
+    sp.add_argument("--rank", type=int, help="socket backend rank id (env COLLKIT_RANK)")
+    sp.add_argument("--connect-timeout", type=float,
                     help="socket connect timeout, default 30s (env COLLKIT_CONNECT_TIMEOUT)")
-    _add_sim_flags(sp)
-    _add_param_flags(sp)
+    sp.add_argument("--policy", choices=simnet.NIC_POLICIES, dest="nic_policy",
+                    help="NIC assignment policy (simulated backend)")
+    sp.add_argument("--profile", choices=simnet.REDUCE_PROFILES, dest="reduce_profile",
+                    help="reduction throughput profile (simulated backend)")
 
     vp = sub.add_parser("verify", help="run the oracle correctness suite")
-    vp.add_argument("--seed", type=int, default=0)
+    vp.set_defaults(run=cmd_verify)
+    vp.add_argument("--seed", type=int)
 
-    cp = sub.add_parser("calibrate", help="write a selector calibration table")
-    cp.add_argument("--config", help="key=value config file; flags override")
-    cp.add_argument("--nodes", type=parse_int_list, default=None, help="e.g. 4,8,16,32,64,128")
-    cp.add_argument("--sizes", type=parse_sizes, default=None)
-    cp.add_argument("--phys", choices=simnet.PHYS_TOPOLOGIES, default=None, dest="phys_topology")
-    cp.add_argument("--collective", choices=sorted(COLLECTIVE_NAMES), default=None)
-    cp.add_argument("--out", default=None, help="table CSV path")
-    _add_param_flags(cp)
+    cp = sub.add_parser("calibrate", parents=[shared], help="write a selector calibration table")
+    cp.set_defaults(run=cmd_calibrate, parser=cp)
+    cp.add_argument("--nodes", type=parse_int_list, help="e.g. 4,8,16,32,64,128")
+    cp.add_argument("--out", help="table CSV path")
 
     hp = sub.add_parser("heatmap", help="speedup CSV from two record CSVs")
+    hp.set_defaults(run=cmd_heatmap)
     hp.add_argument("records_a", help="treatment records CSV")
     hp.add_argument("records_b", help="baseline records CSV")
-    hp.add_argument("--out", default=None, help="output CSV (default: stdout)")
+    hp.add_argument("--out", help="output CSV (default: stdout)")
 
     return parser
 
@@ -225,27 +206,27 @@ def _env_number(name: str, convert, default):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    apply_config_file(args, overrides={"nodes": int})
     backend = args.backend or "inprocess"
-    collective = COLLECTIVE_NAMES[args.collective or "ag"]
     grid = args.grid
     if grid is None and args.nodes is not None and args.gpus_per_node is not None:
         grid = ((args.nodes, args.gpus_per_node),)
     config = sweepmod.SweepConfig(
-        collective=collective,
-        algorithm=args.algo or "ring",
-        inter=args.inter or "ring",
-        sizes=args.sizes or sweepmod.DEFAULT_SIZES,
-        grid=grid or sweepmod.DEFAULT_GRID,
-        trials=args.trials if args.trials is not None else 10,
-        seed=args.seed if args.seed is not None else 0,
-        verify=args.verify,
-        warmup=args.warmup,
-        nics_per_node=args.nics_per_node,
         params=build_params(args),
-        nic_policy=args.nic_policy or "balanced",
-        phys_topology=args.phys_topology or "fully_connected",
-        reduce_profile=args.reduce_profile or "fast",
+        **_given(
+            collective=COLLECTIVE_NAMES.get(args.collective),
+            algorithm=args.algo,
+            inter=args.inter,
+            sizes=args.sizes,
+            grid=grid,
+            trials=args.trials,
+            seed=args.seed,
+            verify=args.verify,
+            warmup=args.warmup,
+            nics_per_node=args.nics_per_node,
+            nic_policy=args.nic_policy,
+            phys_topology=args.phys_topology,
+            reduce_profile=args.reduce_profile,
+        ),
     )
     endpoint = None
     rank = 0
@@ -271,7 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     out_dir = Path(args.out or "bench-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{backend}_{collective}_{config.algorithm}"
+    stem = f"{backend}_{config.collective}_{config.algorithm}"
     if config.algorithm == "hierarchical":
         stem += f"_{config.inter}"
     records_path = out_dir / f"{stem}.csv"
@@ -290,10 +271,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from . import oracles
-
+    """Check every (collective, algorithm) on small worlds against the
+    oracle, through the same cell path a verified sweep runs."""
     failures = 0
     grid = ((1, 1), (1, 4), (2, 2), (2, 4), (3, 2), (4, 2))
     cases = [
@@ -304,7 +283,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("all_gather", "hierarchical"),
         ("reduce_scatter", "hierarchical"),
     ]
-    rng = np.random.default_rng(args.seed)
     for collective, algorithm in cases:
         for n_nodes, m_gpus in grid:
             p = n_nodes * m_gpus
@@ -312,43 +290,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 continue
             if algorithm == "hierarchical" and n_nodes & (n_nodes - 1):
                 continue
-            n = 32
-            per_rank = p * n if collective == "reduce_scatter" else n
-            inputs = [
-                rng.integers(-1024, 1025, size=per_rank).astype(np.float32)
-                for _ in range(p)
-            ]
             config = sweepmod.SweepConfig(
                 collective=collective,
                 algorithm=algorithm,
                 inter="ring" if algorithm != "hierarchical" else "recursive",
-                grid=((n_nodes, m_gpus),),
+                **_given(seed=args.seed),
             )
-            topo = config.topo_for(n_nodes, m_gpus)
-            fn = sweepmod._collective_fn(config, topo, inputs)
-            outputs = sweepmod.run_ranks(p, fn)
-            if collective == "all_gather":
-                want = oracles.expected_all_gather(inputs)
-                ok = all(np.array_equal(out, want) for out in outputs)
-            else:
-                want = oracles.expected_reduce_scatter(inputs)
-                ok = all(np.array_equal(out, want[r]) for r, out in enumerate(outputs))
             label = f"{collective}/{algorithm} N={n_nodes} M={m_gpus}"
-            print(f"{'PASS' if ok else 'FAIL'}  {label}")
-            failures += 0 if ok else 1
+            # 32 float32 elements per rank block.
+            inputs = sweepmod.make_inputs(config, label, p, 128 * p, collective)
+            fn = sweepmod._collective_fn(config, config.topo_for(n_nodes, m_gpus), inputs)
+            try:
+                sweepmod._check_outputs(collective, inputs, enumerate(run_ranks(p, fn)))
+                print(f"PASS  {label}")
+            except VerificationFailed:
+                print(f"FAIL  {label}")
+                failures += 1
     return 1 if failures else 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    apply_config_file(args)
-    nodes = args.nodes or (4, 8, 16, 32, 64, 128)
-    sizes = args.sizes or sweepmod.DEFAULT_SIZES
     table = sweepmod.calibrate_selector(
-        nodes,
-        sizes,
-        build_params(args),
-        phys_topology=args.phys_topology or "ring_of_nodes",
-        collective=COLLECTIVE_NAMES[args.collective or "ag"],
+        params=build_params(args),
+        **_given(
+            n_nodes_list=args.nodes,
+            sizes=args.sizes,
+            phys_topology=args.phys_topology,
+            collective=COLLECTIVE_NAMES.get(args.collective),
+        ),
     )
     out = args.out or "calibration.csv"
     table.save_csv(out)
@@ -373,14 +342,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    handlers = {
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-        "calibrate": cmd_calibrate,
-        "heatmap": cmd_heatmap,
-    }
     try:
-        return handlers[args.command](args)
+        if getattr(args, "config", None):
+            apply_config_file(args, args.parser)
+        return args.run(args)
     except CollkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ from ..costmodel import CalibrationEntry, CalibrationTable, CostParams
 from ..errors import (
     EmptyCell,
     GridMismatch,
+    LengthMismatch,
     NotDivisible,
     Unsupported,
     VerificationFailed,
@@ -105,6 +106,8 @@ class SweepConfig:
         for n_nodes, m_gpus in self.grid:
             p = n_nodes * m_gpus
             for m in self.sizes:
+                if m < 0:
+                    raise LengthMismatch(f"negative byte count {m}")
                 # Whole 32-bit elements per rank are required throughout.
                 if m % (4 * p) != 0:
                     raise NotDivisible(
@@ -112,7 +115,7 @@ class SweepConfig:
                     )
 
     def topo_for(self, n_nodes: int, m_gpus: int) -> Topology:
-        nics = self.nics_per_node or default_nics(m_gpus)
+        nics = default_nics(m_gpus) if self.nics_per_node is None else self.nics_per_node
         return Topology(n_nodes, m_gpus, nics)
 
 
@@ -156,43 +159,31 @@ def _collective_fn(config: SweepConfig, topo: Topology, inputs):
     return fn
 
 
-def _verify_outputs(collective: str, inputs, outputs) -> None:
+def _check_outputs(collective: str, inputs, outputs) -> None:
+    """Raise VerificationFailed unless each ``(rank, out)`` in ``outputs``
+    is that rank's oracle result for ``inputs``. The oracle runs once, for
+    every rank of a world as for the one rank of a socket process."""
     if collective == "all_gather":
-        want = oracles.expected_all_gather(inputs)
-        for rank, out in enumerate(outputs):
-            if not np.array_equal(out, want):
-                raise VerificationFailed(f"all_gather output wrong at rank {rank}")
+        want = [oracles.expected_all_gather(inputs)] * len(inputs)
     else:
         want = oracles.expected_reduce_scatter(inputs)
-        for rank, out in enumerate(outputs):
-            if not np.array_equal(out, want[rank]):
-                raise VerificationFailed(f"reduce_scatter output wrong at rank {rank}")
+    for rank, out in outputs:
+        if not np.array_equal(out, want[rank]):
+            raise VerificationFailed(f"{collective} output wrong at rank {rank}")
 
 
-def _timed_trial_inprocess(config: SweepConfig, topo: Topology, inputs) -> float:
-    fn = _collective_fn(config, topo, inputs)
-    p = topo.world_size
-    durations = [0.0] * p
+def _timed(fn):
+    """``fn`` bracketed by barriers; each rank returns the seconds from
+    leaving the first barrier to leaving the second."""
 
-    def timed(comm):
+    def timed(comm) -> float:
         comm.barrier()
         start = time.perf_counter()
-        out = fn(comm)
+        fn(comm)
         comm.barrier()
-        durations[comm.rank] = time.perf_counter() - start
-        return out
+        return time.perf_counter() - start
 
-    run_ranks(p, timed)
-    return durations[0]
-
-
-def _verify_own_output(collective: str, inputs, rank: int, out) -> None:
-    if collective == "all_gather":
-        want = oracles.expected_all_gather(inputs)
-    else:
-        want = oracles.expected_reduce_scatter(inputs)[rank]
-    if not np.array_equal(out, want):
-        raise VerificationFailed(f"{collective} output wrong at rank {rank}")
+    return timed
 
 
 def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRecord]:
@@ -235,7 +226,7 @@ def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRe
                 f"{n_nodes}x{m_gpus}:{m_bytes}"
             )
 
-            def emit(trial: int, seconds: float, verified: bool) -> None:
+            def emit(trial: int, seconds: float) -> None:
                 records.append(
                     RunRecord(
                         backend=backend,
@@ -248,7 +239,7 @@ def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRe
                         m_bytes=m_bytes,
                         trial=trial,
                         seconds=seconds,
-                        verified=verified,
+                        verified=config.verify,
                     )
                 )
 
@@ -267,32 +258,22 @@ def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRe
                     m_bytes,
                     inter_alg=config.inter,
                 )
-                emit(0, result.seconds, False)
+                emit(0, result.seconds)
                 continue
 
             inputs = make_inputs(config, cell_id, p, m_bytes, config.collective)
             fn = _collective_fn(config, topo, inputs)
-            verified = False
-            trials = config.trials + (1 if config.warmup else 0)
-            if backend == "inprocess":
-                if config.verify:
-                    outputs = run_ranks(p, fn)
-                    _verify_outputs(config.collective, inputs, outputs)
-                    verified = True
-                for trial in range(trials):
-                    emit(trial, _timed_trial_inprocess(config, topo, inputs), verified)
-            else:  # socket: this process is one rank
-                if config.verify:
-                    _verify_own_output(
-                        config.collective, inputs, world.rank, fn(world)
-                    )
-                    verified = True
-                for trial in range(trials):
-                    world.barrier()
-                    start = time.perf_counter()
-                    fn(world)
-                    world.barrier()
-                    emit(trial, time.perf_counter() - start, verified)
+            if config.verify:
+                # In process every rank's output; on sockets this rank's own.
+                if backend == "socket":
+                    outputs = [(world.rank, fn(world))]
+                else:
+                    outputs = enumerate(run_ranks(p, fn))
+                _check_outputs(config.collective, inputs, outputs)
+            # Rank 0's time in process; this rank's own on sockets.
+            timed = _timed(fn)
+            for trial in range(config.trials + (1 if config.warmup else 0)):
+                emit(trial, timed(world) if backend == "socket" else run_ranks(p, timed)[0])
     return records
 
 
@@ -363,8 +344,8 @@ def write_heatmap_csv(rows, path) -> None:
 
 
 def calibrate_selector(
-    n_nodes_list,
-    sizes,
+    n_nodes_list=(4, 8, 16, 32, 64, 128),
+    sizes=DEFAULT_SIZES,
     params: CostParams | None = None,
     *,
     phys_topology: str = "ring_of_nodes",

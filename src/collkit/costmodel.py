@@ -132,7 +132,7 @@ class CalibrationTable:
         # Nearest size bucket in log space.
         best = min(
             candidates,
-            key=lambda e: abs(math.log(max(m_bytes, 1.0)) - math.log(e.m_bytes)),
+            key=lambda e: abs(math.log(max(m_bytes, 1.0)) - math.log(max(e.m_bytes, 1))),
         )
         return best.winner
 

@@ -51,7 +51,6 @@ class HierPlan:
 
     topo: Topology
     inter_alg: str = "auto"
-    collective: str | None = None
     params: costmodel.CostParams = field(default_factory=costmodel.CostParams)
     selector_mode: str = "analytic"
     table: "costmodel.CalibrationTable | None" = None
@@ -61,8 +60,6 @@ class HierPlan:
             raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
         if self.selector_mode not in costmodel.SELECTOR_MODES:
             raise Unsupported(f"selector_mode must be one of {costmodel.SELECTOR_MODES}")
-        if self.collective not in (None, "all_gather", "reduce_scatter"):
-            raise Unsupported(f"unknown collective {self.collective!r}")
         if self.inter_alg == "recursive" and not is_power_of_two(self.topo.num_nodes):
             raise NonPowerOfTwo(
                 f"recursive inter-node algorithm requires a power-of-two node "
@@ -136,8 +133,6 @@ def _inter_reduce_scatter(alg: str, comm: Communicator, buf) -> np.ndarray:
 def hier_all_gather(plan: HierPlan, comm_world: Communicator, buf) -> np.ndarray:
     """Hierarchical all-gather; output is identical to a flat
     :func:`collkit.collectives.ring_all_gather` on the world communicator."""
-    if plan.collective == "reduce_scatter":
-        raise Unsupported("plan is configured for reduce_scatter")
     src = as_elements(buf)
     topo = plan.topo
     n_nodes, m_gpus = topo.num_nodes, topo.gpus_per_node
@@ -159,8 +154,6 @@ def hier_reduce_scatter(plan: HierPlan, comm_world: Communicator, buf) -> np.nda
     """Hierarchical reduce-scatter; output is identical to a flat
     :func:`collkit.collectives.ring_reduce_scatter` on the world
     communicator."""
-    if plan.collective == "all_gather":
-        raise Unsupported("plan is configured for all_gather")
     src = as_elements(buf)
     topo = plan.topo
     n_nodes, m_gpus = topo.num_nodes, topo.gpus_per_node

@@ -16,7 +16,14 @@ from collkit.bench.sweep import (
     write_records_csv,
 )
 from collkit.costmodel import CostParams, choose_inter_algorithm
-from collkit.errors import EmptyCell, EmptyTable, GridMismatch, NotDivisible, Unsupported
+from collkit.errors import (
+    EmptyCell,
+    EmptyTable,
+    GridMismatch,
+    NotDivisible,
+    Unsupported,
+    VerificationFailed,
+)
 
 
 def record(seconds, trial=0, p=4, m=1024, algo="ring"):
@@ -251,3 +258,25 @@ def test_oracles_match_direct_computation():
     total = sum(inputs)
     for r, chunk in enumerate(chunks):
         assert np.array_equal(chunk, total[r * 2 : (r + 1) * 2])
+
+
+@pytest.mark.parametrize("collective", ["all_gather", "reduce_scatter"])
+def test_run_sweep_verify_catches_a_wrong_output(monkeypatch, collective):
+    from collkit.bench import sweep
+
+    collective_fn = sweep._collective_fn
+
+    def wrong_on_rank_one(config, topo, inputs):
+        fn = collective_fn(config, topo, inputs)
+        return lambda comm: fn(comm) + (comm.rank == 1)
+
+    monkeypatch.setattr(sweep, "_collective_fn", wrong_on_rank_one)
+    with pytest.raises(VerificationFailed, match=f"{collective} output wrong at rank 1"):
+        run_sweep(small_config(collective=collective), "inprocess")
+
+
+def test_calibration_table_with_a_zero_byte_entry_answers_lookups():
+    table = calibrate_selector((4,), (0, 1 << 30))
+    assert [e.m_bytes for e in table.entries] == [0, 1 << 30]
+    assert table.lookup(4, 0) == table.entries[0].winner
+    assert table.lookup(4, 1 << 30) == table.entries[1].winner

@@ -1,3 +1,4 @@
+import argparse
 import threading
 
 import pytest
@@ -270,3 +271,201 @@ def test_run_sweep_socket_backend_library_path():
     rank0 = results[0]
     assert len(rank0) == 2
     assert all(r.verified and r.backend == "socket" for r in rank0)
+
+
+# --- config file: each key parses exactly like its flag ----------------------
+
+# (dest, flag argv, config-file value, parsed value)
+COST_OPTIONS = [
+    ("alpha_inter", ["--alpha-inter", "2e-5"], "2e-5", 2e-5),
+    ("beta_inter", ["--beta-inter", "3e-11"], "3e-11", 3e-11),
+    ("alpha_intra", ["--alpha-intra", "4e-6"], "4e-6", 4e-6),
+    ("beta_intra", ["--beta-intra", "5e-12"], "5e-12", 5e-12),
+    ("gamma_fast", ["--gamma-fast", "6e-12"], "6e-12", 6e-12),
+    ("gamma_slow", ["--gamma-slow", "7e-10"], "7e-10", 7e-10),
+    ("packet_bytes", ["--packet-bytes", "4096"], "4096", 4096),
+]
+OPTIONS = {
+    "sweep": [
+        ("backend", ["--backend", "sim"], "sim", "sim"),
+        ("collective", ["--collective", "rs"], "rs", "rs"),
+        ("algo", ["--algo", "hierarchical"], "hierarchical", "hierarchical"),
+        ("inter", ["--inter", "auto"], "auto", "auto"),
+        ("sizes", ["--sizes", "4k,1M"], "4k,1M", (4096, 1 << 20)),
+        ("grid", ["--grid", "2x4,1x2"], "2x4,1x2", ((2, 4), (1, 2))),
+        ("trials", ["--trials", "3"], "3", 3),
+        ("seed", ["--seed", "7"], "7", 7),
+        ("verify", ["--verify"], "1", True),
+        ("warmup", ["--warmup"], "yes", True),
+        ("out", ["--out", "results"], "results", "results"),
+        ("nodes", ["--nodes", "2"], "2", 2),
+        ("gpus_per_node", ["--gpus-per-node", "4"], "4", 4),
+        ("nics_per_node", ["--nics-per-node", "2"], "2", 2),
+        ("hostfile", ["--hostfile", "hosts.txt"], "hosts.txt", "hosts.txt"),
+        ("rank", ["--rank", "1"], "1", 1),
+        ("connect_timeout", ["--connect-timeout", "2.5"], "2.5", 2.5),
+        ("nic_policy", ["--policy", "single_nic"], "single_nic", "single_nic"),
+        ("phys_topology", ["--phys", "ring_of_nodes"], "ring_of_nodes", "ring_of_nodes"),
+        ("reduce_profile", ["--profile", "slow"], "slow", "slow"),
+    ]
+    + COST_OPTIONS,
+    "calibrate": [
+        ("nodes", ["--nodes", "4,8"], "4,8", (4, 8)),
+        ("sizes", ["--sizes", "16M,1G"], "16M,1G", (16 << 20, 1 << 30)),
+        ("phys_topology", ["--phys", "fully_connected"], "fully_connected", "fully_connected"),
+        ("collective", ["--collective", "rs"], "rs", "rs"),
+        ("out", ["--out", "table.csv"], "table.csv", "table.csv"),
+    ]
+    + COST_OPTIONS,
+}
+
+
+class _Parsed(Exception):
+    pass
+
+
+def parsed_options(monkeypatch, argv) -> dict:
+    """The options a command works from once its config file is applied,
+    captured when the command builds its cost parameters."""
+    seen = []
+
+    def capture(args):
+        seen.append(vars(args).copy())
+        raise _Parsed
+
+    monkeypatch.setattr(cli, "build_params", capture)
+    with pytest.raises(_Parsed):
+        cli.main(argv)
+    return seen[0]
+
+
+def option_dests(command: str) -> set:
+    subparsers = next(
+        a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        a.dest
+        for a in subparsers.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_key_table_covers_every_option(command):
+    assert {dest for dest, *_ in OPTIONS[command]} == option_dests(command)
+
+
+@pytest.mark.parametrize(
+    "command,dest,flag,value,want",
+    [(command, *row) for command, rows in OPTIONS.items() for row in rows],
+    ids=[f"{command}-{row[0]}" for command, rows in OPTIONS.items() for row in rows],
+)
+def test_config_key_parses_like_its_flag(tmp_path, monkeypatch, command, dest, flag, value, want):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{dest} = {value}\n")
+    from_file = parsed_options(monkeypatch, [command, "--config", str(config)])
+    from_flag = parsed_options(monkeypatch, [command] + flag)
+    assert from_file[dest] == from_flag[dest] == want
+    assert type(from_file[dest]) is type(want)
+
+
+@pytest.mark.parametrize("word", ["1", "true", "yes", "TRUE"])
+def test_config_store_true_words(tmp_path, monkeypatch, word):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"verify = {word}\nwarmup = {word}\n")
+    options = parsed_options(monkeypatch, ["sweep", "--config", str(config)])
+    assert options["verify"] is True and options["warmup"] is True
+
+
+def test_config_flag_overrides_file_and_unknown_key_is_ignored(tmp_path, monkeypatch):
+    config = tmp_path / "bench.cfg"
+    config.write_text("sizes = 1M\ntrials = 3\ncolour = blue\nhelp = 1\n")
+    options = parsed_options(monkeypatch, ["sweep", "--config", str(config), "--sizes", "2M"])
+    assert options["sizes"] == (2 << 20,)
+    assert options["trials"] == 3
+    assert "colour" not in options
+    plain = parsed_options(monkeypatch, ["sweep", "--sizes", "2M", "--trials", "3"])
+    assert {k: options[k] for k in option_dests("sweep")} == {
+        k: plain[k] for k in option_dests("sweep")
+    }
+
+
+@pytest.mark.parametrize(
+    "line", ["collective = allgather", "nic_policy = bogus"]
+)
+def test_config_value_refused_by_its_flag_is_a_clean_error(tmp_path, capsys, line):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"backend = inprocess\nsizes = 4096\ngrid = 1x2\ntrials = 1\n{line}\n")
+    rc = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    key, _, raw = line.partition(" = ")
+    assert capsys.readouterr().err.startswith(f"error: {config}: {key} = {raw!r}: ")
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("sweep", "verify = maybe"),
+        ("sweep", "backend = mpi"),
+        ("sweep", "sizes = 1Q"),
+        ("sweep", "sizes = infk"),
+        ("sweep", "grid = 2by4"),
+        ("sweep", "connect_timeout = soon"),
+        ("calibrate", "nodes = 4;8"),
+        ("calibrate", "alpha_inter = fast"),
+    ],
+)
+def test_config_bad_values_are_clean_errors(tmp_path, capsys, command, line):
+    # A small, fast run underneath, should the bad value be let through.
+    small = {"sweep": "backend = sim\nsizes = 4096\ngrid = 1x2\n", "calibrate": "nodes = 4\nsizes = 4096\n"}
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{small[command]}{line}\n")
+    rc = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    key, _, raw = line.partition(" = ")
+    assert capsys.readouterr().err.startswith(f"error: {config}: {key} = {raw!r}: ")
+
+
+def test_unset_options_take_library_defaults(monkeypatch):
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Parsed
+
+    monkeypatch.setattr(cli.sweepmod, "run_sweep", capture)
+    monkeypatch.setattr(cli.sweepmod, "calibrate_selector", capture)
+    with pytest.raises(_Parsed):
+        cli.main(["sweep"])
+    with pytest.raises(_Parsed):
+        cli.main(["calibrate"])
+    (sweep_args, _), (calibrate_args, calibrate_kwargs) = seen
+    assert sweep_args == (SweepConfig(), "inprocess")
+    assert calibrate_args == () and calibrate_kwargs == {"params": cli.CostParams()}
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--backend", "inprocess", "--sizes=-4096", "--grid", "1x2"], "negative byte count -4096"),
+        (["--backend", "sim", "--sizes", "4096", "--grid", "1x2", "--nics-per-node", "0"],
+         "all counts must be >= 1"),
+    ],
+)
+def test_out_of_range_sweep_shapes_are_clean_errors(tmp_path, capsys, flags, message):
+    rc = cli.main(["sweep", *flags, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_verify_command_reports_a_wrong_output(monkeypatch, capsys):
+    collective_fn = cli.sweepmod._collective_fn
+
+    def off_by_one(config, topo, inputs):
+        fn = collective_fn(config, topo, inputs)
+        return lambda comm: fn(comm) + 1
+
+    monkeypatch.setattr(cli.sweepmod, "_collective_fn", off_by_one)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 32 and all(line.startswith("FAIL  ") for line in lines)

@@ -128,15 +128,6 @@ def test_plan_rejects_unknown_selector_mode():
         HierPlan(topo=topo_for(2, 2), inter_alg="auto", selector_mode="tabel")
 
 
-def test_plan_collective_field_is_enforced():
-    plan = HierPlan(topo=topo_for(2, 2), collective="all_gather")
-    inputs = integer_inputs(4, 8, seed=1)
-    with pytest.raises(Unsupported):
-        run_ranks(4, lambda c: hier_reduce_scatter(plan, c, inputs[c.rank]))
-    with pytest.raises(Unsupported):
-        HierPlan(topo=topo_for(2, 2), collective="broadcast")
-
-
 # --- collectives ----------------------------------------------------------
 
 
