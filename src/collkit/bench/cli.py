@@ -235,8 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             hostfile = args.hostfile or os.environ.get("COLLKIT_HOSTFILE")
             rank_arg = args.rank if args.rank is not None else _env_number("COLLKIT_RANK", int, None)
             if hostfile is None or rank_arg is None:
-                print("socket backend needs --hostfile and --rank", file=sys.stderr)
-                return 2
+                raise Unsupported("socket backend needs --hostfile and --rank")
             timeout = args.connect_timeout
             if timeout is None:
                 timeout = _env_number("COLLKIT_CONNECT_TIMEOUT", float, 30.0)

@@ -44,17 +44,21 @@ the census builder checks the first two:
 3. adding ``w >= 0`` never decreases a float, so the resource charged
    most often holds the largest of those sums.
 
-Its makespan is then added once per step, in step order, and its integer
-NIC-counter deltas times its step count, so seconds, per-step traces and
-counters are ``==`` to charging every step of :func:`build_schedule`
-through :class:`StepCoster`.
+Its makespan is then added once per step, in step order, by one
+``functools.reduce`` over the run (the same float adds a per-step loop
+makes), and its integer NIC-counter deltas times its step count. The
+trace keeps one record per run; ``trace.steps`` builds the per-step
+:class:`SimStep` list on first read and caches it. So seconds, per-step
+traces and counters are ``==`` to charging every step of
+:func:`build_schedule` through :class:`StepCoster`, and a call that reads
+only seconds costs O(runs), not O(steps).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import itertools
-import json
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -127,9 +131,46 @@ class SimStep:
     messages: list[dict] | None = None
 
 
-@dataclass
+class TraceRun(NamedTuple):
+    """One run of identical steps as the trace keeps it: the steps
+    ``first .. first + count - 1`` each have this makespan, message count,
+    byte total and reduction count, and each gets its own copy of
+    ``messages`` when they were recorded."""
+
+    first: int
+    count: int
+    makespan: float
+    message_count: int
+    bytes_total: int
+    reduction_count: int
+    messages: list[dict] | None
+
+
+@dataclass(eq=False)
 class StepTrace:
-    steps: list[SimStep] = field(default_factory=list)
+    """The steps of a simulated run, kept as one record per run; two
+    traces are ``==`` when their steps are."""
+
+    runs: list[TraceRun] = field(default_factory=list)
+
+    @functools.cached_property
+    def steps(self) -> list[SimStep]:
+        """One :class:`SimStep` per step, built on first read."""
+        steps = []
+        for first, count, makespan, n, size, reductions, messages in self.runs:
+            steps += [
+                SimStep(
+                    index, makespan, n, size, reductions,
+                    messages and list(map(dict, messages)),  # each step its own records
+                )
+                for index in range(first, first + count)
+            ]
+        return steps
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepTrace):
+            return NotImplemented
+        return self.steps == other.steps
 
     @property
     def total_seconds(self) -> float:
@@ -489,15 +530,15 @@ def simulate(
     Deterministic: identical inputs give bit-identical times, counters,
     and traces. Each run of identical steps is priced once, from its
     census: its makespan is added once per step, in step order, and its
-    integer counter deltas times its step count. Recorded messages are
-    attached to every step of their run.
+    integer counter deltas times its step count. The trace keeps one
+    record per run, with its recorded messages; every step of the run
+    gets its own copy when ``trace.steps`` is first read.
     """
     topo, params = config.topo, config.params
     gamma = params.gamma(config.reduce_profile)
     counters = NicCounters(nics=topo.nics_per_node)
     trace = StepTrace()
-    steps = trace.steps
-    total = 0.0
+    first, total = 0, 0.0
     for kind, alg, block in _plan(config, collective, algorithm, m_bytes, inter_alg):
         census = _census(topo, config.nic_policy, config.phys_topology, kind, collective, alg)
         recorded = itertools.repeat(None)
@@ -509,16 +550,15 @@ def simulate(
             makespan = _makespan(run, b, params, gamma)
             if run.inter:
                 _count(counters, run, b, params.packet_bytes)
-            size, first = run.messages * b, len(steps)
-            for _ in range(run.count):
-                total += makespan
-            steps += [
-                SimStep(
-                    index, makespan, run.messages, size, run.reductions,
-                    messages and list(map(dict, messages)),  # each step its own records
+            # The float adds of ``total += makespan`` once per step, in C.
+            total = functools.reduce(operator.add, itertools.repeat(makespan, run.count), total)
+            trace.runs.append(
+                TraceRun(
+                    first, run.count, makespan, run.messages, run.messages * b,
+                    run.reductions, messages,
                 )
-                for index in range(first, first + run.count)
-            ]
+            )
+            first += run.count
     return SimResult(seconds=total, counters=counters, trace=trace)
 
 
@@ -559,26 +599,3 @@ def reduce_profile_gap(
     t_slow = simulate(slow, "reduce_scatter", algorithm, m_bytes, inter_alg).seconds
     t_fast = simulate(fast, "reduce_scatter", algorithm, m_bytes, inter_alg).seconds
     return t_slow / t_fast
-
-
-def trace_to_jsonl(trace: StepTrace, path) -> None:
-    """One JSON record per step: index, messages (when recorded), and the
-    step makespan in seconds."""
-    with open(path, "w") as fh:
-        for step in trace.steps:
-            rec = {
-                "step": step.index,
-                "messages": step.messages if step.messages is not None else [],
-                "makespan_s": step.makespan,
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def counters_to_csv(counters: NicCounters, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("nic,bytes_in,bytes_out,posted_pkts,non_posted_pkts\n")
-        for nic in range(counters.nics):
-            fh.write(
-                f"{nic},{counters.bytes_in[nic]},{counters.bytes_out[nic]},"
-                f"{counters.posted_pkts[nic]},{counters.non_posted_pkts[nic]}\n"
-            )

@@ -98,8 +98,8 @@ def test_sweep_socket_requires_rank_and_hostfile(capsys, monkeypatch):
     monkeypatch.delenv("COLLKIT_HOSTFILE", raising=False)
     monkeypatch.delenv("COLLKIT_RANK", raising=False)
     rc = cli.main(["sweep", "--backend", "socket", "--sizes", "4096", "--grid", "1x2"])
-    assert rc == 2
-    assert "hostfile" in capsys.readouterr().err
+    assert rc == 1
+    assert capsys.readouterr().err == "error: socket backend needs --hostfile and --rank\n"
 
 
 def test_config_file_enum_typo_is_a_clean_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import dataclasses
+import functools
 import itertools
-import json
 import math
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -36,12 +37,10 @@ from collkit.simnet import (
     StepCoster,
     build_schedule,
     compare_policies,
-    counters_to_csv,
     reduce_profile_gap,
     ring_hops,
     ring_links,
     simulate,
-    trace_to_jsonl,
 )
 from collkit.topology import Topology
 
@@ -492,6 +491,52 @@ def test_trace_total_equals_sum_of_step_makespans():
     assert res.seconds == sum(s.makespan for s in res.trace.steps)
 
 
+def test_steps_are_built_on_first_read(monkeypatch):
+    built = []
+
+    def counting_step(*args):
+        built.append(args[0])
+        return SimStep(*args)
+
+    monkeypatch.setattr(simnet, "SimStep", counting_step)
+    topo = Topology(256, 8, 4)
+    res = simulate(cfg(topo), "all_gather", "ring", topo.world_size * 64)
+    assert built == []
+    steps = res.trace.steps
+    assert built == list(range(topo.world_size - 1))
+    again = res.trace.steps
+    assert len(built) == topo.world_size - 1
+    assert again == steps
+
+
+def test_recorded_steps_do_not_share_message_records():
+    res = simulate(cfg(Topology(2, 2, 1)), "all_gather", "ring", 4 << 10, record_messages=True)
+    steps = res.trace.steps
+    assert len(steps) == 3
+    before = [[dict(m) for m in step.messages] for step in steps]
+    steps[1].messages[0]["bytes"] = -1
+    steps[1].messages.append({})
+    assert [step.messages for step in (steps[0], steps[2])] == [before[0], before[2]]
+    rebuilt = simnet.StepTrace(res.trace.runs).steps
+    assert [step.messages for step in rebuilt] == before
+
+
+@pytest.mark.parametrize(
+    "algorithm, inter_alg", [("ring", "ring"), ("recursive", "ring"), ("hierarchical", "recursive")]
+)
+def test_seconds_fold_step_makespans_in_step_order(algorithm, inter_alg):
+    config = cfg(
+        Topology(64, 8, 4),
+        CostParams(alpha_inter=40e-6, beta_inter=0.004e-9),
+        phys_topology="ring_of_nodes",
+        reduce_profile="slow",
+    )
+    res = simulate(config, "reduce_scatter", algorithm, 64 << 20, inter_alg=inter_alg)
+    assert res.seconds == functools.reduce(
+        operator.add, (s.makespan for s in res.trace.steps), 0.0
+    )
+
+
 def test_packet_counters_use_ceiling():
     params = CostParams(packet_bytes=1000)
     config = cfg(Topology(2, 1, 1), params)
@@ -712,26 +757,3 @@ def test_real_run_logs_price_exactly_like_simulate(
             else:
                 assert counters.total_bytes_out() == counters.total_bytes_in() > 0
                 assert seconds[1] > seconds[0]
-
-
-def test_trace_jsonl_export(tmp_path):
-    res = simulate(
-        cfg(Topology(2, 2, 2)), "all_gather", "hierarchical", 1 << 20,
-        inter_alg="ring", record_messages=True,
-    )
-    path = tmp_path / "trace.jsonl"
-    trace_to_jsonl(res.trace, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(res.trace.steps)
-    first = json.loads(lines[0])
-    assert set(first) == {"step", "messages", "makespan_s"}
-    assert set(first["messages"][0]) == {"src", "dst", "bytes", "nic_src", "nic_dst"}
-
-
-def test_counters_csv_export(tmp_path):
-    res = simulate(cfg(Topology(2, 4, 2)), "all_gather", "hierarchical", 1 << 20)
-    path = tmp_path / "counters.csv"
-    counters_to_csv(res.counters, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nic,bytes_in,bytes_out,posted_pkts,non_posted_pkts"
-    assert len(lines) == 1 + 2
