@@ -29,12 +29,10 @@ made of (a ring phase is one run of p-1 steps, a recursive phase log2(p)
 runs of one) from a *census*: per run, its block width and step count,
 its message and reduction counts, whether any message is inter- or
 intra-node, the most inter-node messages on one NIC egress slot, one NIC
-ingress slot and one ring link, and the inter-node messages sent and
-received per NIC index. A census depends on the machine shape, the NIC
-policy, the physical topology and the phase's algorithm, never on sizes
-or costs, so it is built once and cached, and a run then costs a few
-float operations. Three properties of the schedules make it exact, and
-the census builder checks the first two:
+ingress slot and one ring link (counted with one difference array per
+ring direction), and the inter-node messages sent and received per NIC
+index. Three properties of the schedules make it exact, and the census
+builder checks the first two:
 
 1. every rank sends at most one message per step, and reduces at most
    once, so its busy time is ``0.0 + c``, which is ``c``;
@@ -44,14 +42,28 @@ the census builder checks the first two:
 3. adding ``w >= 0`` never decreases a float, so the resource charged
    most often holds the largest of those sums.
 
-Its makespan is then added once per step, in step order, by one
-``functools.reduce`` over the run (the same float adds a per-step loop
-makes), and its integer NIC-counter deltas times its step count. The
-trace keeps one record per run; ``trace.steps`` builds the per-step
-:class:`SimStep` list on first read and caches it. So seconds, per-step
-traces and counters are ``==`` to charging every step of
-:func:`build_schedule` through :class:`StepCoster`, and a call that reads
-only seconds costs O(runs), not O(steps).
+A census depends on the machine shape, the NIC policy, the physical
+topology and the phase's algorithm, never on sizes or costs. So
+:func:`_plan`, the one planner of :func:`simulate` and
+:func:`build_schedule`, is cached per shape: (topology, NIC policy,
+physical topology, collective, algorithm, resolved inter-node
+algorithm). For each phase it holds the divisor of ``m_bytes`` that
+gives the block, the census, each run's busiest-resource multiplicity,
+and the phase's NIC-counter weights. A warm call then validates
+``m_bytes``, resolves ``auto``, prices each run with a few float
+operations and adds each phase's counters once, in exact integer
+arithmetic: bytes are a weight per NIC times the block, and packets,
+which round up per message, a sum over the phase's inter-node widths.
+
+A run's makespan is added once per step, in step order (:func:`_fold`:
+``functools.reduce`` up to ``_ACCUMULATE_ABOVE`` steps, above it
+``np.add.accumulate``, which also adds strictly in sequence), so the
+float adds are those of a per-step loop. The trace keeps one record per
+run; ``trace.steps`` builds the per-step :class:`SimStep` list on first
+read and caches it. So seconds, per-step traces and counters are ``==``
+to charging every step of :func:`build_schedule` through
+:class:`StepCoster`, and a call that reads only seconds costs O(runs),
+not O(steps).
 """
 from __future__ import annotations
 
@@ -65,9 +77,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import collectives
-from .costmodel import CostParams
+from .costmodel import CostParams, resolve_inter_algorithm
 from .errors import ConfigMismatch, LengthMismatch, NotDivisible, Unsupported
-from .hierarchy import HierPlan
+from .hierarchy import INTER_ALGORITHMS
 from .topology import Topology
 
 NIC_POLICIES = ("balanced", "single_nic")
@@ -174,7 +186,12 @@ class StepTrace:
 
     @property
     def total_seconds(self) -> float:
-        return sum(s.makespan for s in self.steps)
+        """The step makespans added in step order, as :func:`simulate`
+        adds them (``sum`` of floats rounds differently on Python 3.12+)."""
+        total = 0.0
+        for run in self.runs:
+            total = _fold(total, run.makespan, run.count)
+        return total
 
 
 @dataclass
@@ -360,34 +377,6 @@ def _members(topo: Topology, kind: str) -> np.ndarray:
     return grid.T if kind == "inter" else grid
 
 
-def _plan(config: SimConfig, collective: str, algorithm: str, m_bytes: int, inter_alg: str):
-    """The phases of one collective run, in order, as ``(kind, algorithm,
-    block)``: the group kind (world, inter or intra), its flat algorithm
-    and the bytes of one block. Refuses every shape the schedules refuse."""
-    if collective not in COLLECTIVES:
-        raise Unsupported(f"unknown collective {collective!r}")
-    if algorithm not in ALGORITHMS:
-        raise Unsupported(f"unknown algorithm {algorithm!r}")
-    topo = config.topo
-    p = topo.world_size
-    if m_bytes % p != 0:
-        raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    if m_bytes < 0:
-        raise LengthMismatch(f"negative byte count {m_bytes}")
-    if algorithm != "hierarchical":
-        phases = [("world", algorithm, m_bytes // p)]
-    else:
-        sub_m = m_bytes // topo.gpus_per_node
-        inter_alg = HierPlan(topo, inter_alg, params=config.params).resolve_inter(sub_m)
-        phases = [("inter", inter_alg, m_bytes // p), ("intra", "ring", sub_m)]
-        if collective == "reduce_scatter":
-            phases.reverse()
-    groups = {"world": p, "inter": topo.num_nodes, "intra": topo.gpus_per_node}
-    for kind, alg, _ in phases:
-        collectives._runs(collective, alg, groups[kind])
-    return phases
-
-
 def _phase(collective: str, algorithm: str, members: np.ndarray, block: int):
     """Runs of one flat algorithm over blocks of ``block`` bytes, run at
     once by every group of ``members``: each step of run j carries each
@@ -415,14 +404,16 @@ def build_schedule(
     ``m_bytes`` is the gathered output size for all-gather and the
     per-rank input size for reduce-scatter (both equal p times the block).
     """
-    phases = _plan(config, collective, algorithm, m_bytes, inter_alg)
+    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     return itertools.chain.from_iterable(
-        _phase(collective, alg, _members(config.topo, kind), block)
-        for kind, alg, block in phases
+        _phase(
+            collective, phase.algorithm, _members(config.topo, phase.kind), m_bytes // phase.divisor
+        )
+        for phase in plan
     )
 
 
-# --- census ------------------------------------------------------------------
+# --- census and plan ---------------------------------------------------------
 
 
 class RunCensus(NamedTuple):
@@ -442,6 +433,27 @@ class RunCensus(NamedTuple):
     nic_in: tuple[int, ...]  # inter-node messages received per NIC index
 
 
+def _link_loads(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray) -> np.ndarray:
+    """Messages per directed ring link, indexed like :func:`_link_ids`,
+    in O(messages + nodes): each shortest path is a range of consecutive
+    links of one direction, so one difference array per direction marks
+    +1 at its first link and -1 past its last. The links, numbered by the
+    node they leave, are laid out twice so that no range wraps, and the
+    two halves are folded after the running sum."""
+    up = (dst_node - src_node) % n_nodes
+    down = (src_node - dst_node) % n_nodes
+    ascending = up <= down
+    # Ascending: links src .. src+up-1. Descending: src-down+1 .. src, + N.
+    first = np.where(ascending, src_node, src_node - down + 1 + n_nodes)
+    stop = np.where(ascending, src_node + up, src_node + 1 + n_nodes)
+    loads = np.empty((n_nodes, 2), dtype=np.int64)
+    size = 2 * n_nodes + 1
+    for direction, on in enumerate((ascending, ~ascending)):
+        diff = np.bincount(first[on], minlength=size) - np.bincount(stop[on], minlength=size)
+        loads[:, direction] = np.cumsum(diff)[:-1].reshape(2, n_nodes).sum(axis=0)
+    return loads.reshape(-1)
+
+
 def _run_census(topo: Topology, nic_policy: str, phys_topology: str, msgs, reds, count) -> RunCensus:
     """Census of one step of ``msgs`` and ``reds`` repeated ``count``
     times. Checks that every rank sends at most once and reduces at most
@@ -458,7 +470,7 @@ def _run_census(topo: Topology, nic_policy: str, phys_topology: str, msgs, reds,
     nic_src, nic_dst = _nic_slots(topo, nic_policy, src[inter], dst[inter])
     link = 0
     if phys_topology == "ring_of_nodes":
-        link = int(np.bincount(_link_ids(topo.num_nodes, src_node, dst_node)[1]).max(initial=0))
+        link = int(_link_loads(topo.num_nodes, src_node, dst_node).max(initial=0))
     return RunCensus(
         width=int(width[0]),
         count=count,
@@ -474,7 +486,6 @@ def _run_census(topo: Topology, nic_policy: str, phys_topology: str, msgs, reds,
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _census(
     topo: Topology, nic_policy: str, phys_topology: str, kind: str, collective: str, algorithm: str
 ) -> tuple[RunCensus, ...]:
@@ -486,14 +497,137 @@ def _census(
     )
 
 
-def _makespan(run: RunCensus, b: int, params: CostParams, gamma: float) -> float:
+class Phase(NamedTuple):
+    """One phase of a collective run as :func:`_plan` caches it: its
+    census, and what pricing reads from the census on every call."""
+
+    kind: str  # world, inter or intra group
+    algorithm: str  # the flat algorithm its groups run
+    divisor: int  # its block is m_bytes // divisor
+    census: tuple[RunCensus, ...]
+    busiest: tuple[int, ...]  # per run: max(egress, ingress, link)
+    # The non-zero NIC-counter weights, as (index, weight) pairs into the
+    # bytes in, then bytes out, of each NIC index: nic_in (nic_out) * width
+    # * count summed over the runs. The phase's bytes are these times the
+    # block.
+    nic_bytes: tuple[tuple[int, int], ...]
+    # Packets round up per message, so they keep the runs apart: per
+    # distinct column of nic_in (nic_out) * count, the widths of the
+    # inter-node runs with that column, and its non-zero pairs, indexed
+    # into the packets in, then out, of each NIC index.
+    nic_packets: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+
+
+def _planned_phase(
+    kind: str, algorithm: str, divisor: int, census: tuple[RunCensus, ...], nics: int
+) -> Phase:
+    """A :class:`Phase`, with what it reads on every call taken from
+    ``census``."""
+    nic_bytes = [0] * (2 * nics)
+    widths = {}  # column of messages moved per NIC -> widths of its runs
+    for run in census:
+        if not run.inter:
+            continue
+        moved = tuple(n * run.count for n in run.nic_in + run.nic_out)
+        for i, n in enumerate(moved):
+            nic_bytes[i] += n * run.width
+        widths.setdefault(moved, []).append(run.width)
+
+    def nonzero(weights):
+        return tuple((i, n) for i, n in enumerate(weights) if n)
+
+    return Phase(
+        kind,
+        algorithm,
+        divisor,
+        census,
+        busiest=tuple(max(run.egress, run.ingress, run.link) for run in census),
+        nic_bytes=nonzero(nic_bytes),
+        nic_packets=tuple((tuple(w), nonzero(moved)) for moved, w in widths.items()),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(
+    topo: Topology,
+    nic_policy: str,
+    phys_topology: str,
+    collective: str,
+    algorithm: str,
+    inter: str | None,
+) -> tuple[Phase, ...]:
+    """The phases of one collective run, in order, each with its census:
+    the world phase of a flat run, or the inter- and intra-node phases of
+    a hierarchical one over its resolved inter-node algorithm ``inter``.
+    Cached per shape, never per size or cost; refuses every shape the
+    schedules refuse."""
+    if algorithm != "hierarchical":
+        phases = [("world", algorithm, topo.world_size)]
+    elif inter not in ("ring", "recursive"):
+        raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
+    else:
+        phases = [("inter", inter, topo.world_size), ("intra", "ring", topo.gpus_per_node)]
+        if collective == "reduce_scatter":
+            phases.reverse()
+    return tuple(
+        _planned_phase(
+            kind,
+            alg,
+            divisor,
+            _census(topo, nic_policy, phys_topology, kind, collective, alg),
+            topo.nics_per_node,
+        )
+        for kind, alg, divisor in phases
+    )
+
+
+def _plan_of(config: SimConfig, collective: str, algorithm: str, m_bytes: int, inter_alg: str):
+    """The cached plan of one collective run of ``m_bytes``, after its
+    checks: the names, then the size, then the shape (in :func:`_plan`).
+    ``auto`` resolves on the run's sub-collective of m_bytes / M bytes."""
+    if collective not in COLLECTIVES:
+        raise Unsupported(f"unknown collective {collective!r}")
+    if algorithm not in ALGORITHMS:
+        raise Unsupported(f"unknown algorithm {algorithm!r}")
+    topo = config.topo
+    p = topo.world_size
+    if m_bytes % p != 0:
+        raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
+    if m_bytes < 0:
+        raise LengthMismatch(f"negative byte count {m_bytes}")
+    inter = None
+    if algorithm == "hierarchical":
+        inter = resolve_inter_algorithm(
+            inter_alg, topo.num_nodes, m_bytes // topo.gpus_per_node, config.params
+        )
+    return _plan(topo, config.nic_policy, config.phys_topology, collective, algorithm, inter)
+
+
+# --- pricing -----------------------------------------------------------------
+
+# Above this many adds, np.add.accumulate's fixed cost (a few us) is less
+# than functools.reduce's per-add cost.
+_ACCUMULATE_ABOVE = 100
+
+
+def _fold(total: float, w: float, k: int) -> float:
+    """``total`` plus ``k`` adds of ``w``, one at a time in order: the float
+    adds of ``total += w`` in a loop. ``np.add.accumulate`` adds strictly in
+    sequence too, so it gives the same bits for long runs."""
+    if k <= _ACCUMULATE_ABOVE:
+        return functools.reduce(operator.add, itertools.repeat(w, k), total)
+    terms = np.full(k + 1, w)
+    terms[0] = total
+    return float(np.add.accumulate(terms)[-1])
+
+
+def _makespan(run: RunCensus, busiest: int, b: int, params: CostParams, gamma: float) -> float:
     """The makespan :meth:`StepCoster.charge_step` gives one step of
-    ``run`` with ``b`` bytes per message: the busiest NIC or link adds
-    its charges one by one, the way ``np.bincount`` does."""
+    ``run`` with ``b`` bytes per message: the busiest NIC or link, charged
+    ``busiest`` times, adds its charges one by one, the way
+    ``np.bincount`` does."""
     wire = params.beta_inter * b
-    busy = 0.0
-    for _ in range(max(run.egress, run.ingress, run.link)):
-        busy += wire
+    busy = _fold(0.0, wire, busiest)
     if run.inter:
         busy = max(busy, params.alpha_inter + wire)
     if run.intra:
@@ -503,18 +637,28 @@ def _makespan(run: RunCensus, b: int, params: CostParams, gamma: float) -> float
     return busy
 
 
-def _count(counters: NicCounters, run: RunCensus, b: int, packet_bytes: int) -> None:
-    """Adds every step of ``run``'s inter-node bytes and packets to the
-    NIC counters, in exact integer arithmetic."""
-    pkts = -(-b // packet_bytes)
-    for row, per_nic, amount in (
-        (counters.bytes_out, run.nic_out, b),
-        (counters.non_posted_pkts, run.nic_out, pkts),
-        (counters.bytes_in, run.nic_in, b),
-        (counters.posted_pkts, run.nic_in, pkts),
-    ):
-        for nic, n in enumerate(per_nic):
-            row[nic] += n * amount * run.count
+def _count(counts: list[int], phase: Phase, block: int, packet_bytes: int) -> None:
+    """Adds every step of ``phase``'s inter-node bytes and packets to
+    ``counts``, the NIC counters as one list (bytes in, bytes out, posted
+    and non-posted packets, each per NIC index), in exact integer
+    arithmetic."""
+    for i, n in phase.nic_bytes:
+        counts[i] += n * block
+    posted = len(counts) // 2
+    for widths, moved in phase.nic_packets:
+        pkts = sum([-(-(width * block) // packet_bytes) for width in widths])
+        for i, n in moved:
+            counts[posted + i] += n * pkts
+
+
+def _counters(k: int, counts: list[int]) -> NicCounters:
+    """The NicCounters of ``k`` NICs of ``counts``, laid out as
+    :func:`_count` adds them."""
+    return NicCounters(k, counts[:k], counts[k : 2 * k], counts[2 * k : 3 * k], counts[3 * k :])
+
+
+# TraceRun(...) from one tuple, without the NamedTuple's Python-level __new__.
+_trace_run = functools.partial(tuple.__new__, TraceRun)
 
 
 def simulate(
@@ -528,38 +672,36 @@ def simulate(
     """Run one collective schedule to completion under virtual time.
 
     Deterministic: identical inputs give bit-identical times, counters,
-    and traces. Each run of identical steps is priced once, from its
-    census: its makespan is added once per step, in step order, and its
-    integer counter deltas times its step count. The trace keeps one
-    record per run, with its recorded messages; every step of the run
-    gets its own copy when ``trace.steps`` is first read.
+    and traces. Each run of identical steps is priced once, from the
+    cached plan: its makespan is added once per step, in step order, and
+    each phase's integer counter deltas once. The trace keeps one record
+    per run, with its recorded messages; every step of the run gets its
+    own copy when ``trace.steps`` is first read.
     """
     topo, params = config.topo, config.params
+    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     gamma = params.gamma(config.reduce_profile)
-    counters = NicCounters(nics=topo.nics_per_node)
-    trace = StepTrace()
+    counts = [0] * (4 * topo.nics_per_node)
+    runs = []
     first, total = 0, 0.0
-    for kind, alg, block in _plan(config, collective, algorithm, m_bytes, inter_alg):
-        census = _census(topo, config.nic_policy, config.phys_topology, kind, collective, alg)
+    for phase in plan:
+        block = m_bytes // phase.divisor
         recorded = itertools.repeat(None)
         if record_messages:
-            phase = _phase(collective, alg, _members(topo, kind), block)
-            recorded = (_recorded(topo, config.nic_policy, msgs) for msgs, _, _ in phase)
-        for run, messages in zip(census, recorded):
+            steps = _phase(collective, phase.algorithm, _members(topo, phase.kind), block)
+            recorded = (_recorded(topo, config.nic_policy, msgs) for msgs, _, _ in steps)
+        for run, busiest, messages in zip(phase.census, phase.busiest, recorded):
             b = run.width * block
-            makespan = _makespan(run, b, params, gamma)
-            if run.inter:
-                _count(counters, run, b, params.packet_bytes)
-            # The float adds of ``total += makespan`` once per step, in C.
-            total = functools.reduce(operator.add, itertools.repeat(makespan, run.count), total)
-            trace.runs.append(
-                TraceRun(
-                    first, run.count, makespan, run.messages, run.messages * b,
-                    run.reductions, messages,
-                )
+            makespan = _makespan(run, busiest, b, params, gamma)
+            total = _fold(total, makespan, run.count)
+            n = run.messages
+            runs.append(
+                _trace_run((first, run.count, makespan, n, n * b, run.reductions, messages))
             )
             first += run.count
-    return SimResult(seconds=total, counters=counters, trace=trace)
+        if phase.nic_packets:
+            _count(counts, phase, block, params.packet_bytes)
+    return SimResult(total, _counters(topo.nics_per_node, counts), StepTrace(runs))
 
 
 def compare_policies(

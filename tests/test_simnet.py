@@ -286,8 +286,16 @@ CALIBRATION_NODES = (4, 8, 16, 32, 64, 128)
 CALIBRATION_SIZES = tuple(2**i << 20 for i in range(4, 11))
 
 
-def test_calibration_builds_one_census_per_node_count_and_algorithm():
-    simnet._census.cache_clear()
+def test_calibration_builds_one_census_per_node_count_and_algorithm(monkeypatch):
+    censuses = []
+    census = simnet._census
+
+    def counted(*args):
+        censuses.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(simnet, "_census", counted)
+    simnet._plan.cache_clear()
     calibrate_selector(
         CALIBRATION_NODES,
         CALIBRATION_SIZES,
@@ -295,9 +303,10 @@ def test_calibration_builds_one_census_per_node_count_and_algorithm():
         phys_topology="ring_of_nodes",
     )
     built = 2 * len(CALIBRATION_NODES)  # ring and recursive at each node count
-    info = simnet._census.cache_info()
+    info = simnet._plan.cache_info()
     assert info.misses == built
     assert info.hits == built * (len(CALIBRATION_SIZES) - 1)
+    assert len(censuses) == len(set(censuses)) == built
 
 
 def test_census_holds_per_nic_counts_not_per_rank_arrays():
@@ -308,6 +317,15 @@ def test_census_holds_per_nic_counts_not_per_rank_arrays():
             assert len(run.nic_out) == len(run.nic_in) == topo.nics_per_node
             for value in run:
                 assert type(value) in (int, bool) or all(type(n) is int for n in value)
+    for algorithm, inter in (("ring", None), ("hierarchical", "recursive")):
+        plan = simnet._plan(topo, "balanced", "ring_of_nodes", "all_gather", algorithm, inter)
+        for phase in plan:
+            assert all(type(n) is int for n in phase.busiest)
+            weights = [moved for _, moved in phase.nic_packets] + [phase.nic_bytes]
+            for pairs in weights:
+                assert len(pairs) <= 2 * topo.nics_per_node
+                assert all(type(i) is type(n) is int for i, n in pairs)
+            assert all(type(w) is int for widths, _ in phase.nic_packets for w in widths)
 
 
 def test_ring_of_nodes_recursive_step_is_set_by_its_busiest_link():
@@ -370,23 +388,24 @@ def census_steps(draw):
         reds = np.stack([reducers, np.full(len(reducers), size)], axis=1)
         return msgs.astype(np.int64).reshape(-1, 3), reds.astype(np.int64).reshape(-1, 2)
 
-    return config, step(width), step(width * block), width * block, draw(st.integers(1, 5))
+    return config, step(width), step(width * block), block, draw(st.integers(1, 5))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=census_steps())
 def test_census_prices_a_run_like_charging_each_step(case):
-    config, (msgs, reds), (sized_msgs, sized_reds), b, count = case
+    config, (msgs, reds), (sized_msgs, sized_reds), block, count = case
     topo, params = config.topo, config.params
     coster = StepCoster(config)
     for _ in range(count):
         want, _ = coster.charge_step(sized_msgs, sized_reds)
     run = simnet._run_census(topo, config.nic_policy, config.phys_topology, msgs, reds, count)
+    phase = simnet._planned_phase("world", "ring", 1, (run,), topo.nics_per_node)
     gamma = params.gamma(config.reduce_profile)
-    assert simnet._makespan(run, b, params, gamma) == want
-    counters = NicCounters(nics=topo.nics_per_node)
-    simnet._count(counters, run, b, params.packet_bytes)
-    assert counters == coster.counters
+    assert simnet._makespan(run, phase.busiest[0], run.width * block, params, gamma) == want
+    counts = [0] * (4 * topo.nics_per_node)
+    simnet._count(counts, phase, block, params.packet_bytes)
+    assert simnet._counters(topo.nics_per_node, counts) == coster.counters
 
 
 def test_schedule_arrays_are_read_only():
@@ -407,6 +426,29 @@ def test_ring_links_expand_ring_hops_in_message_order(n_nodes):
     owner, a, b = ring_links(n_nodes, src, dst)
     want = [(i, *hop) for i, (s, d) in enumerate(pairs) for hop in ring_hops(n_nodes, s, d)]
     assert list(zip(owner.tolist(), a.tolist(), b.tolist())) == want
+
+
+@st.composite
+def ring_messages(draw):
+    """Up to 200 (src_node, dst_node) pairs on a ring of N <= 64 nodes,
+    some on their own node; on an even ring, half of them may be pairs
+    N/2 apart, which tie and go ascending from either end."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 200))
+    src = rng.integers(0, n, count)
+    dst = rng.integers(0, n, count)
+    if n % 2 == 0 and draw(st.booleans()):
+        dst[::2] = (src[::2] + n // 2) % n
+    return n, src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ring_messages())
+def test_link_loads_count_every_hop_of_every_path(case):
+    n, src, dst = case
+    want = np.bincount(simnet._link_ids(n, src, dst)[1], minlength=2 * n)
+    assert simnet._link_loads(n, src, dst).tolist() == want.tolist()
 
 
 def test_charge_step_refuses_bad_ranks_and_sizes():
@@ -487,8 +529,11 @@ def test_determinism_bit_identical():
 
 def test_trace_total_equals_sum_of_step_makespans():
     res = simulate(cfg(Topology(4, 2, 1)), "reduce_scatter", "ring", 4 << 20)
-    assert math.isclose(res.seconds, res.trace.total_seconds, rel_tol=1e-15)
-    assert res.seconds == sum(s.makespan for s in res.trace.steps)
+    assert res.trace.total_seconds == res.seconds
+    # Not ``sum``: on Python 3.12+ it compensates float rounding.
+    assert res.seconds == functools.reduce(
+        operator.add, (s.makespan for s in res.trace.steps), 0.0
+    )
 
 
 def test_steps_are_built_on_first_read(monkeypatch):
@@ -521,20 +566,53 @@ def test_recorded_steps_do_not_share_message_records():
     assert [step.messages for step in rebuilt] == before
 
 
-@pytest.mark.parametrize(
-    "algorithm, inter_alg", [("ring", "ring"), ("recursive", "ring"), ("hierarchical", "recursive")]
-)
-def test_seconds_fold_step_makespans_in_step_order(algorithm, inter_alg):
+FOLD_CELLS = {
+    "ring-ring": ("ring", "ring", Topology(64, 8, 4)),
+    "recursive-ring": ("recursive", "ring", Topology(64, 8, 4)),
+    "hierarchical-recursive": ("hierarchical", "recursive", Topology(64, 8, 4)),
+    # One flat ring run on each side of the step count above which the
+    # fold switches from functools.reduce to np.add.accumulate.
+    "ring-reduce": ("ring", "ring", Topology(simnet._ACCUMULATE_ABOVE + 1, 1, 1)),
+    "ring-accumulate": ("ring", "ring", Topology(simnet._ACCUMULATE_ABOVE + 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("algorithm, inter_alg, topo", FOLD_CELLS.values(), ids=FOLD_CELLS)
+def test_seconds_fold_step_makespans_in_step_order(algorithm, inter_alg, topo):
     config = cfg(
-        Topology(64, 8, 4),
+        topo,
         CostParams(alpha_inter=40e-6, beta_inter=0.004e-9),
         phys_topology="ring_of_nodes",
         reduce_profile="slow",
     )
-    res = simulate(config, "reduce_scatter", algorithm, 64 << 20, inter_alg=inter_alg)
+    m_bytes = topo.world_size << 17  # 64 MiB at 64x8x4
+    res = simulate(config, "reduce_scatter", algorithm, m_bytes, inter_alg=inter_alg)
     assert res.seconds == functools.reduce(
         operator.add, (s.makespan for s in res.trace.steps), 0.0
     )
+
+
+@st.composite
+def folds(draw):
+    """A start ``t`` (0.0 or positive), an addend ``w`` and a count ``k``
+    on either side of the fold's switch. Hypothesis picks the exponents and
+    counts; a seeded generator fills in full mantissas, so that adding in
+    another order would change the last bits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = float(rng.uniform(1, 10)) * 10.0 ** draw(st.integers(-300, 2))
+    t = 0.0
+    if draw(st.booleans()):
+        t = float(rng.uniform(1, 10)) * 10.0 ** draw(st.integers(-300, 2))
+    threshold = simnet._ACCUMULATE_ABOVE
+    k = draw(st.one_of(st.integers(0, 5000), st.integers(threshold - 2, threshold + 2)))
+    return t, w, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=folds())
+def test_step_fold_adds_one_at_a_time_in_order(case):
+    t, w, k = case
+    assert simnet._fold(t, w, k) == functools.reduce(operator.add, itertools.repeat(w, k), t)
 
 
 def test_packet_counters_use_ceiling():
