@@ -26,13 +26,7 @@ from .hierarchy import (
     shuffle_local_major_to_global,
 )
 from .simnet import SimConfig, compare_policies, reduce_profile_gap, simulate
-from .topology import (
-    GroupSpec,
-    Topology,
-    inter_node_group,
-    intra_node_group,
-    nic_of,
-)
+from .topology import Topology
 from .transport import Communicator, InProcessTransport, run_ranks
 
 __version__ = "0.1.0"
@@ -66,11 +60,7 @@ __all__ = [
     "compare_policies",
     "reduce_profile_gap",
     "simulate",
-    "GroupSpec",
     "Topology",
-    "inter_node_group",
-    "intra_node_group",
-    "nic_of",
     "Communicator",
     "InProcessTransport",
     "run_ranks",

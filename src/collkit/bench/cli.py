@@ -20,6 +20,7 @@ from pathlib import Path
 from .. import simnet
 from ..costmodel import CostParams
 from ..errors import CollkitError, Unsupported, VerificationFailed
+from ..hierarchy import INTER_ALGORITHMS
 from ..transport.inprocess import run_ranks
 from ..transport.sockets import SocketEndpoint, parse_host_file
 from . import sweep as sweepmod
@@ -153,8 +154,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", parents=[shared], help="run a benchmark sweep")
     sp.set_defaults(run=cmd_sweep, parser=sp)
     sp.add_argument("--backend", choices=sweepmod.BACKENDS)
-    sp.add_argument("--algo", choices=("ring", "recursive", "hierarchical"))
-    sp.add_argument("--inter", choices=("ring", "recursive", "auto"))
+    sp.add_argument("--algo", choices=simnet.ALGORITHMS)
+    sp.add_argument("--inter", choices=INTER_ALGORITHMS)
     sp.add_argument("--grid", type=parse_grid, help="NxM cells, e.g. 2x4,4x8")
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)

@@ -24,11 +24,12 @@ from ..errors import (
     EmptyCell,
     GridMismatch,
     LengthMismatch,
+    NonPowerOfTwo,
     NotDivisible,
     Unsupported,
     VerificationFailed,
 )
-from ..hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
+from ..hierarchy import INTER_ALGORITHMS, HierPlan, hier_all_gather, hier_reduce_scatter
 from ..topology import Topology
 from ..transport.base import Communicator
 from ..transport.inprocess import run_ranks
@@ -97,14 +98,21 @@ class SweepConfig:
     reduce_profile: str = "fast"
 
     def validate(self) -> None:
-        if self.collective not in ("all_gather", "reduce_scatter"):
+        if self.collective not in simnet.COLLECTIVES:
             raise Unsupported(f"unknown collective {self.collective!r}")
-        if self.algorithm not in ("ring", "recursive", "hierarchical"):
+        if self.algorithm not in simnet.ALGORITHMS:
             raise Unsupported(f"unknown algorithm {self.algorithm!r}")
+        if self.inter not in INTER_ALGORITHMS:
+            raise Unsupported(f"inter must be one of {INTER_ALGORITHMS}")
         if self.trials < 1:
             raise Unsupported(f"trials must be >= 1, got {self.trials}")
+        recursive_inter = self.algorithm == "hierarchical" and self.inter == "recursive"
         for n_nodes, m_gpus in self.grid:
             p = n_nodes * m_gpus
+            if self.algorithm == "recursive" and not collectives.is_power_of_two(p):
+                raise NonPowerOfTwo(f"recursive algorithm needs power-of-two p, got {p}")
+            if recursive_inter and not collectives.is_power_of_two(n_nodes):
+                raise NonPowerOfTwo(f"recursive inter needs power-of-two N, got {n_nodes}")
             for m in self.sizes:
                 if m < 0:
                     raise LengthMismatch(f"negative byte count {m}")
@@ -149,8 +157,6 @@ def _collective_fn(config: SweepConfig, topo: Topology, inputs):
             return op(plan, comm, inputs[comm.rank])
 
         return fn
-    if (collective, algorithm) not in collectives.SCHEDULES:
-        raise Unsupported(f"no implementation for {collective}/{algorithm}")
     flat = collectives.all_gather if collective == "all_gather" else collectives.reduce_scatter
 
     def fn(comm):
@@ -218,8 +224,6 @@ def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRe
     for n_nodes, m_gpus in config.grid:
         topo = config.topo_for(n_nodes, m_gpus)
         p = topo.world_size
-        if config.algorithm == "recursive" and not collectives.is_power_of_two(p):
-            raise Unsupported(f"recursive algorithm needs power-of-two p, got {p}")
         for m_bytes in config.sizes:
             cell_id = (
                 f"{config.collective}:{config.algorithm}:{config.inter}:"

@@ -27,7 +27,7 @@ from .collectives import (
     ring_reduce_scatter,
 )
 from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible, Unsupported
-from .topology import Topology, inter_node_group, intra_node_group
+from .topology import Topology, groups
 
 if TYPE_CHECKING:
     from .transport.base import Communicator
@@ -113,8 +113,8 @@ def _sub_communicators(plan: HierPlan, comm_world: Communicator):
         )
     g = comm_world.rank
     node, local = topo.node_of(g), topo.local_of(g)
-    inter = comm_world.subgroup(inter_node_group(topo, local).members, INTER_COMM_ID)
-    intra = comm_world.subgroup(intra_node_group(topo, node).members, INTRA_COMM_ID)
+    inter = comm_world.subgroup(groups(topo, "inter")[local].tolist(), INTER_COMM_ID)
+    intra = comm_world.subgroup(groups(topo, "intra")[node].tolist(), INTRA_COMM_ID)
     return inter, intra
 
 

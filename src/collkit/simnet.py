@@ -26,7 +26,8 @@ to a message-by-message loop.
 
 :func:`simulate` prices the runs of identical steps that a schedule is
 made of (a ring phase is one run of p-1 steps, a recursive phase log2(p)
-runs of one) from a *census*: per run, its block width and step count,
+runs of one; a phase runs in every row of :func:`collkit.topology.groups`
+at once) from a *census*: per run, its block width and step count,
 its message and reduction counts, whether any message is inter- or
 intra-node, the most inter-node messages on one NIC egress slot, one NIC
 ingress slot and one ring link (counted with one difference array per
@@ -63,7 +64,8 @@ run; ``trace.steps`` builds the per-step :class:`SimStep` list on first
 read and caches it. So seconds, per-step traces and counters are ``==``
 to charging every step of :func:`build_schedule` through
 :class:`StepCoster`, and a call that reads only seconds costs O(runs),
-not O(steps).
+not O(steps). The trace holds no messages: :func:`build_schedule` walks
+the same plan and yields them.
 """
 from __future__ import annotations
 
@@ -80,7 +82,7 @@ from . import collectives
 from .costmodel import CostParams, resolve_inter_algorithm
 from .errors import ConfigMismatch, LengthMismatch, NotDivisible, Unsupported
 from .hierarchy import INTER_ALGORITHMS
-from .topology import Topology
+from .topology import Topology, groups
 
 NIC_POLICIES = ("balanced", "single_nic")
 PHYS_TOPOLOGIES = ("fully_connected", "ring_of_nodes")
@@ -126,12 +128,6 @@ class NicCounters:
             if not getattr(self, name):
                 setattr(self, name, [0] * self.nics)
 
-    def total_bytes_in(self) -> int:
-        return sum(self.bytes_in)
-
-    def total_bytes_out(self) -> int:
-        return sum(self.bytes_out)
-
 
 @dataclass(slots=True)
 class SimStep:
@@ -140,14 +136,12 @@ class SimStep:
     message_count: int
     bytes_total: int
     reduction_count: int = 0
-    messages: list[dict] | None = None
 
 
 class TraceRun(NamedTuple):
     """One run of identical steps as the trace keeps it: the steps
     ``first .. first + count - 1`` each have this makespan, message count,
-    byte total and reduction count, and each gets its own copy of
-    ``messages`` when they were recorded."""
+    byte total and reduction count."""
 
     first: int
     count: int
@@ -155,7 +149,6 @@ class TraceRun(NamedTuple):
     message_count: int
     bytes_total: int
     reduction_count: int
-    messages: list[dict] | None
 
 
 @dataclass(eq=False)
@@ -169,12 +162,9 @@ class StepTrace:
     def steps(self) -> list[SimStep]:
         """One :class:`SimStep` per step, built on first read."""
         steps = []
-        for first, count, makespan, n, size, reductions, messages in self.runs:
+        for first, count, makespan, n, size, reductions in self.runs:
             steps += [
-                SimStep(
-                    index, makespan, n, size, reductions,
-                    messages and list(map(dict, messages)),  # each step its own records
-                )
+                SimStep(index, makespan, n, size, reductions)
                 for index in range(first, first + count)
             ]
         return steps
@@ -183,15 +173,6 @@ class StepTrace:
         if not isinstance(other, StepTrace):
             return NotImplemented
         return self.steps == other.steps
-
-    @property
-    def total_seconds(self) -> float:
-        """The step makespans added in step order, as :func:`simulate`
-        adds them (``sum`` of floats rounds differently on Python 3.12+)."""
-        total = 0.0
-        for run in self.runs:
-            total = _fold(total, run.makespan, run.count)
-        return total
 
 
 @dataclass
@@ -366,17 +347,6 @@ _NO_REDUCTIONS = np.empty((0, 2), dtype=np.int64)
 _NO_REDUCTIONS.flags.writeable = False
 
 
-def _members(topo: Topology, kind: str) -> np.ndarray:
-    """The groups of a phase, one row of world ranks per group: the whole
-    world, or (see collkit.topology) column j of the node-major grid for
-    the inter-node group of local rank j, row n for node n's group."""
-    grid = np.arange(topo.world_size, dtype=np.int64)
-    if kind == "world":
-        return grid.reshape(1, -1)
-    grid = grid.reshape(topo.num_nodes, topo.gpus_per_node)
-    return grid.T if kind == "inter" else grid
-
-
 def _phase(collective: str, algorithm: str, members: np.ndarray, block: int):
     """Runs of one flat algorithm over blocks of ``block`` bytes, run at
     once by every group of ``members``: each step of run j carries each
@@ -407,7 +377,7 @@ def build_schedule(
     plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     return itertools.chain.from_iterable(
         _phase(
-            collective, phase.algorithm, _members(config.topo, phase.kind), m_bytes // phase.divisor
+            collective, phase.algorithm, groups(config.topo, phase.kind), m_bytes // phase.divisor
         )
         for phase in plan
     )
@@ -493,7 +463,7 @@ def _census(
     one-byte blocks, so a message's size is its width."""
     return tuple(
         _run_census(topo, nic_policy, phys_topology, msgs, reds, count)
-        for msgs, reds, count in _phase(collective, algorithm, _members(topo, kind), 1)
+        for msgs, reds, count in _phase(collective, algorithm, groups(topo, kind), 1)
     )
 
 
@@ -667,7 +637,6 @@ def simulate(
     algorithm: str,
     m_bytes: int,
     inter_alg: str = "ring",
-    record_messages: bool = False,
 ) -> SimResult:
     """Run one collective schedule to completion under virtual time.
 
@@ -675,8 +644,7 @@ def simulate(
     and traces. Each run of identical steps is priced once, from the
     cached plan: its makespan is added once per step, in step order, and
     each phase's integer counter deltas once. The trace keeps one record
-    per run, with its recorded messages; every step of the run gets its
-    own copy when ``trace.steps`` is first read.
+    per run.
     """
     topo, params = config.topo, config.params
     plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
@@ -686,18 +654,12 @@ def simulate(
     first, total = 0, 0.0
     for phase in plan:
         block = m_bytes // phase.divisor
-        recorded = itertools.repeat(None)
-        if record_messages:
-            steps = _phase(collective, phase.algorithm, _members(topo, phase.kind), block)
-            recorded = (_recorded(topo, config.nic_policy, msgs) for msgs, _, _ in steps)
-        for run, busiest, messages in zip(phase.census, phase.busiest, recorded):
+        for run, busiest in zip(phase.census, phase.busiest):
             b = run.width * block
             makespan = _makespan(run, busiest, b, params, gamma)
             total = _fold(total, makespan, run.count)
             n = run.messages
-            runs.append(
-                _trace_run((first, run.count, makespan, n, n * b, run.reductions, messages))
-            )
+            runs.append(_trace_run((first, run.count, makespan, n, n * b, run.reductions)))
             first += run.count
         if phase.nic_packets:
             _count(counts, phase, block, params.packet_bytes)

@@ -3,14 +3,19 @@
 Global ranks are node-major: ``rank = node * gpus_per_node + local``. With
 that numbering, concatenating buffers by global rank is the same as
 concatenating by (node, local), which keeps the block algebra of the
-hierarchical collectives simple. Each NIC serves a block of
-``gpus_per_node // nics_per_node`` consecutive local ranks.
+hierarchical collectives simple. :func:`groups` lays out the sub-groups
+once, as rows of that grid: the hierarchical collectives take their
+sub-communicators from it and the simulator its phases. Each NIC serves
+a block of ``gpus_per_node // nics_per_node`` consecutive local ranks
+(the simulator maps messages to NICs).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, InvalidTopology
+import numpy as np
+
+from .errors import IndexOutOfRange, InvalidTopology, Unsupported
 
 
 @dataclass(frozen=True)
@@ -55,55 +60,20 @@ class Topology:
     def local_of(self, rank: int) -> int:
         return self.check_rank(rank) % self.gpus_per_node
 
-    def global_rank(self, node: int, local: int) -> int:
-        if not 0 <= node < self.num_nodes:
-            raise IndexOutOfRange(f"node {node} not in [0, {self.num_nodes})")
-        if not 0 <= local < self.gpus_per_node:
-            raise IndexOutOfRange(f"local {local} not in [0, {self.gpus_per_node})")
-        return node * self.gpus_per_node + local
 
+def groups(topo: Topology, kind: str) -> np.ndarray:
+    """The rank groups of one kind, one row of world ranks per group.
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """An ordered group of global ranks forming a sub-communicator.
-
-    ``kind`` is ``"inter_node"`` (one rank per node, all sharing the same
-    local index) or ``"intra_node"`` (all ranks of one node). ``index`` is
-    the local rank for inter-node groups and the node for intra-node
-    groups.
+    ``"world"`` is one row of every rank. ``"inter"`` has row j for the
+    ranks of local index j, one per node by ascending node: column j of
+    the node-major grid. ``"intra"`` has row n for the ranks of node n.
     """
-
-    kind: str
-    index: int
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def inter_node_group(topo: Topology, local_rank: int) -> GroupSpec:
-    """The group of the ranks with the given local index, one per node,
-    ordered by ascending node index."""
-    if not 0 <= local_rank < topo.gpus_per_node:
-        raise IndexOutOfRange(
-            f"local rank {local_rank} not in [0, {topo.gpus_per_node})"
-        )
-    members = tuple(
-        node * topo.gpus_per_node + local_rank for node in range(topo.num_nodes)
-    )
-    return GroupSpec("inter_node", local_rank, members)
-
-
-def intra_node_group(topo: Topology, node: int) -> GroupSpec:
-    """The group of all ranks on one node, ordered by local rank."""
-    if not 0 <= node < topo.num_nodes:
-        raise IndexOutOfRange(f"node {node} not in [0, {topo.num_nodes})")
-    base = node * topo.gpus_per_node
-    return GroupSpec("intra_node", node, tuple(range(base, base + topo.gpus_per_node)))
-
-
-def nic_of(topo: Topology, rank: int) -> int:
-    """NIC index serving a rank: local ranks are assigned to NICs in
-    consecutive blocks of ``gpus_per_node // nics_per_node``."""
-    return topo.local_of(rank) // topo.gpus_per_nic
+    grid = np.arange(topo.world_size, dtype=np.int64)
+    if kind == "world":
+        return grid.reshape(1, -1)
+    grid = grid.reshape(topo.num_nodes, topo.gpus_per_node)
+    if kind == "inter":
+        return grid.T
+    if kind == "intra":
+        return grid
+    raise Unsupported(f"unknown group kind {kind!r}")

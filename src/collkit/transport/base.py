@@ -136,14 +136,6 @@ class Communicator:
     def recv(self, src: int, tag: int):
         return self.endpoint.recv(self.members[src], tag)
 
-    def sendrecv(self, peer: int, tag: int, payload):
-        """Exchange payloads with one peer without deadlock regardless of
-        the peer's send/recv ordering (sends never block on the receiver)."""
-        if peer == self.rank:
-            raise SelfSend(f"rank {self.rank} cannot exchange with itself")
-        self.send(peer, tag, payload)
-        return self.recv(peer, tag)
-
     def barrier(self) -> None:
         """Dissemination barrier: no rank returns before every rank entered."""
         base = self.next_base_tag()

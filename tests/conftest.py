@@ -10,7 +10,7 @@ from collkit.hierarchy import (
     hier_all_gather,
     hier_reduce_scatter,
 )
-from collkit.simnet import StepCoster
+from collkit.simnet import StepCoster, build_schedule
 from collkit.transport import InProcessTransport, run_ranks
 from collkit.transport.base import (
     COLLECTIVE_TAGS_PER_COMM,
@@ -100,9 +100,13 @@ def price_log(config, log_records, collective, algorithm):
     return seconds, coster.counters, len(steps)
 
 
-def simulated_step_multisets(result):
-    """Per-step sorted (src, dst, bytes) triples from a recorded sim trace."""
+def scheduled_step_multisets(config, collective, algorithm, m_bytes, inter_alg):
+    """Per-step sorted (src, dst, bytes) triples of the schedule that
+    :func:`collkit.simnet.simulate` prices, each run expanded to its
+    ``repeat`` steps."""
+    schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
     return [
-        sorted((m["src"], m["dst"], m["bytes"]) for m in step.messages)
-        for step in result.trace.steps
+        sorted(map(tuple, messages.tolist()))
+        for messages, _, repeat in schedule
+        for _ in range(repeat)
     ]

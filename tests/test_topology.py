@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collkit.errors import IndexOutOfRange, InvalidTopology
-from collkit.topology import Topology, inter_node_group, intra_node_group, nic_of
+from collkit.errors import InvalidTopology, Unsupported
+from collkit.simnet import _nic_slots
+from collkit.topology import Topology, groups
+
+
+def balanced_nic(topo, rank):
+    """The NIC a rank's messages leave through under the balanced policy."""
+    nic_src, _ = _nic_slots(topo, "balanced", np.array([rank]), np.array([rank]))
+    return int(nic_src[0])
 
 
 def test_build_singleton():
@@ -28,39 +36,36 @@ def test_build_rejects_nonpositive(counts):
 
 
 def test_inter_node_group_members():
-    topo = Topology(2, 2, 1)
-    assert inter_node_group(topo, 0).members == (0, 2)
-    assert inter_node_group(topo, 1).members == (1, 3)
-
-
-def test_inter_node_group_rejects_bad_local():
-    topo = Topology(3, 2, 1)
-    with pytest.raises(IndexOutOfRange):
-        inter_node_group(topo, 2)
+    assert groups(Topology(2, 2, 1), "inter").tolist() == [[0, 2], [1, 3]]
+    assert groups(Topology(3, 2, 1), "inter").tolist() == [[0, 2, 4], [1, 3, 5]]
 
 
 def test_intra_node_group_members():
-    assert intra_node_group(Topology(2, 2, 1), 1).members == (2, 3)
-    assert intra_node_group(Topology(1, 4, 1), 0).members == (0, 1, 2, 3)
+    assert groups(Topology(2, 2, 1), "intra")[1].tolist() == [2, 3]
+    assert groups(Topology(1, 4, 1), "intra").tolist() == [[0, 1, 2, 3]]
 
 
-def test_intra_node_group_rejects_bad_node():
-    with pytest.raises(IndexOutOfRange):
-        intra_node_group(Topology(2, 2, 1), 2)
+def test_world_group_is_every_rank():
+    assert groups(Topology(2, 3, 1), "world").tolist() == [[0, 1, 2, 3, 4, 5]]
+
+
+def test_groups_reject_unknown_kind():
+    with pytest.raises(Unsupported):
+        groups(Topology(2, 2, 1), "node")
 
 
 def test_nic_of_blocked_assignment():
     topo = Topology(1, 8, 4)
-    assert nic_of(topo, 1) == 0
-    assert nic_of(topo, 7) == 3
+    assert balanced_nic(topo, 1) == 0
+    assert balanced_nic(topo, 7) == 3
     single = Topology(1, 4, 1)
-    assert nic_of(single, 3) == 0
+    assert balanced_nic(single, 3) == 0
 
 
 def test_rank_id_coordinates():
     topo = Topology(3, 4, 2)
     assert (topo.node_of(7), topo.local_of(7)) == (1, 3)
-    assert nic_of(topo, 7) == 1
+    assert balanced_nic(topo, 7) == 1
 
 
 small_topos = st.builds(
@@ -73,8 +78,9 @@ small_topos = st.builds(
 
 @given(small_topos)
 def test_groups_partition_world(topo):
-    inter = [inter_node_group(topo, j).members for j in range(topo.gpus_per_node)]
-    intra = [intra_node_group(topo, n).members for n in range(topo.num_nodes)]
+    inter = groups(topo, "inter").tolist()
+    intra = groups(topo, "intra").tolist()
+    assert len(inter) == topo.gpus_per_node and len(intra) == topo.num_nodes
     world = set(range(topo.world_size))
     for family in (inter, intra):
         seen = [r for members in family for r in members]
@@ -86,14 +92,15 @@ def test_groups_partition_world(topo):
 def test_rank_numbering_round_trips(topo, data):
     g = data.draw(st.integers(0, topo.world_size - 1))
     assert topo.node_of(g) * topo.gpus_per_node + topo.local_of(g) == g
-    assert topo.global_rank(topo.node_of(g), topo.local_of(g)) == g
+    assert groups(topo, "intra")[topo.node_of(g), topo.local_of(g)] == g
+    assert groups(topo, "inter")[topo.local_of(g), topo.node_of(g)] == g
 
 
 @given(small_topos)
 def test_nic_blocks_are_even(topo):
     per_nic = {}
     for local in range(topo.gpus_per_node):
-        per_nic.setdefault(nic_of(topo, local), []).append(local)
+        per_nic.setdefault(balanced_nic(topo, local), []).append(local)
     assert len(per_nic) == topo.nics_per_node
     for nic, locals_ in per_nic.items():
         assert len(locals_) == topo.gpus_per_nic

