@@ -25,7 +25,7 @@ from .hierarchy import (
     shuffle_global_to_local_major,
     shuffle_local_major_to_global,
 )
-from .simnet import SimConfig, compare_policies, reduce_profile_gap, simulate
+from .simnet import SimConfig, simulate
 from .topology import Topology
 from .transport import Communicator, InProcessTransport, run_ranks
 
@@ -57,8 +57,6 @@ __all__ = [
     "shuffle_global_to_local_major",
     "shuffle_local_major_to_global",
     "SimConfig",
-    "compare_policies",
-    "reduce_profile_gap",
     "simulate",
     "Topology",
     "Communicator",

@@ -13,13 +13,14 @@ the file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
 
 from .. import simnet
 from ..costmodel import CostParams
-from ..errors import CollkitError, Unsupported, VerificationFailed
+from ..errors import CollkitError, NonPowerOfTwo, Unsupported, VerificationFailed
 from ..hierarchy import INTER_ALGORITHMS
 from ..transport.inprocess import run_ranks
 from ..transport.sockets import SocketEndpoint, parse_host_file
@@ -272,33 +273,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check every (collective, algorithm) on small worlds against the
-    oracle, through the same cell path a verified sweep runs."""
+    oracle, through the same cell path a verified sweep runs. Cells that a
+    sweep refuses as non-power-of-two are skipped."""
     failures = 0
     grid = ((1, 1), (1, 4), (2, 2), (2, 4), (3, 2), (4, 2))
-    cases = [
-        ("all_gather", "ring"),
-        ("reduce_scatter", "ring"),
-        ("all_gather", "recursive"),
-        ("reduce_scatter", "recursive"),
-        ("all_gather", "hierarchical"),
-        ("reduce_scatter", "hierarchical"),
-    ]
-    for collective, algorithm in cases:
+    for algorithm, collective in itertools.product(simnet.ALGORITHMS, simnet.COLLECTIVES):
         for n_nodes, m_gpus in grid:
             p = n_nodes * m_gpus
-            if algorithm == "recursive" and p & (p - 1):
-                continue
-            if algorithm == "hierarchical" and n_nodes & (n_nodes - 1):
-                continue
             config = sweepmod.SweepConfig(
                 collective=collective,
                 algorithm=algorithm,
                 inter="ring" if algorithm != "hierarchical" else "recursive",
+                sizes=(128 * p,),  # 32 float32 elements per rank block
+                grid=((n_nodes, m_gpus),),
                 **_given(seed=args.seed),
             )
+            try:
+                config.validate()
+            except NonPowerOfTwo:
+                continue
             label = f"{collective}/{algorithm} N={n_nodes} M={m_gpus}"
-            # 32 float32 elements per rank block.
-            inputs = sweepmod.make_inputs(config, label, p, 128 * p, collective)
+            inputs = sweepmod.make_inputs(config, label, p, config.sizes[0], collective)
             fn = sweepmod._collective_fn(config, config.topo_for(n_nodes, m_gpus), inputs)
             try:
                 sweepmod._check_outputs(collective, inputs, enumerate(run_ranks(p, fn)))

@@ -10,15 +10,17 @@ class InvalidTopology(CollkitError):
 
 
 class IndexOutOfRange(CollkitError):
-    """A rank, node, or local index is outside its valid range."""
+    """A rank, node, or local index is outside its valid range, including
+    a transport peer outside the world."""
 
 
 class SelfSend(CollkitError):
-    """A rank attempted a point-to-point transfer with itself."""
+    """A rank named itself as the peer of a send or receive."""
 
 
 class PeerUnreachable(CollkitError):
-    """A peer cannot be contacted or its connection was lost."""
+    """A peer cannot be contacted, its connection was lost, or socket mesh
+    setup failed."""
 
 
 class Timeout(CollkitError):
@@ -40,10 +42,6 @@ class NonPowerOfTwo(CollkitError):
 
 class EmptyTable(CollkitError):
     """Table-mode algorithm selection was used without a usable calibration."""
-
-
-class ConfigMismatch(CollkitError):
-    """Two simulator configs that must agree (except for one knob) do not."""
 
 
 class Unsupported(CollkitError):

@@ -69,7 +69,6 @@ the same plan and yields them.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -80,7 +79,7 @@ import numpy as np
 
 from . import collectives
 from .costmodel import CostParams, resolve_inter_algorithm
-from .errors import ConfigMismatch, LengthMismatch, NotDivisible, Unsupported
+from .errors import LengthMismatch, NotDivisible, Unsupported
 from .hierarchy import INTER_ALGORITHMS
 from .topology import Topology, groups
 
@@ -665,41 +664,3 @@ def simulate(
             _count(counts, phase, block, params.packet_bytes)
     return SimResult(total, _counters(topo.nics_per_node, counts), StepTrace(runs))
 
-
-def compare_policies(
-    config_a: SimConfig,
-    config_b: SimConfig,
-    collective: str,
-    algorithm: str,
-    m_bytes: int,
-    inter_alg: str = "ring",
-) -> float:
-    """Simulated-time ratio of the single-NIC run over the balanced run for
-    two configs that are identical apart from ``nic_policy``."""
-    if dataclasses.replace(config_a, nic_policy="balanced") != dataclasses.replace(
-        config_b, nic_policy="balanced"
-    ):
-        raise ConfigMismatch("configs differ beyond nic_policy")
-    policies = {config_a.nic_policy, config_b.nic_policy}
-    if policies != {"balanced", "single_nic"}:
-        raise ConfigMismatch(f"need one balanced and one single_nic config, got {policies}")
-    single = config_a if config_a.nic_policy == "single_nic" else config_b
-    balanced = config_b if single is config_a else config_a
-    t_single = simulate(single, collective, algorithm, m_bytes, inter_alg).seconds
-    t_balanced = simulate(balanced, collective, algorithm, m_bytes, inter_alg).seconds
-    return t_single / t_balanced
-
-
-def reduce_profile_gap(
-    config: SimConfig,
-    m_bytes: int,
-    algorithm: str = "ring",
-    inter_alg: str = "ring",
-) -> float:
-    """Simulated reduce-scatter time with the slow reduction profile over
-    the fast one, all else fixed."""
-    slow = dataclasses.replace(config, reduce_profile="slow")
-    fast = dataclasses.replace(config, reduce_profile="fast")
-    t_slow = simulate(slow, "reduce_scatter", algorithm, m_bytes, inter_alg).seconds
-    t_fast = simulate(fast, "reduce_scatter", algorithm, m_bytes, inter_alg).seconds
-    return t_slow / t_fast

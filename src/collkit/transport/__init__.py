@@ -4,20 +4,13 @@ per (src, dst, tag) channel). For simulated time, see
 :func:`collkit.simnet.simulate`: it prices the step schedules that the
 collectives send over these transports."""
 
-from .base import ChannelStore, Communicator, MessageLog
+from .base import ChannelStore, Communicator
 from .inprocess import InProcessEndpoint, InProcessTransport, run_ranks
-from .sockets import (
-    HostEntry,
-    SocketEndpoint,
-    connect_local_mesh,
-    parse_host_file,
-    write_host_file,
-)
+from .sockets import HostEntry, SocketEndpoint, connect_local_mesh, parse_host_file
 
 __all__ = [
     "ChannelStore",
     "Communicator",
-    "MessageLog",
     "InProcessEndpoint",
     "InProcessTransport",
     "run_ranks",
@@ -25,5 +18,4 @@ __all__ = [
     "SocketEndpoint",
     "connect_local_mesh",
     "parse_host_file",
-    "write_host_file",
 ]

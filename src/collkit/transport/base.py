@@ -11,12 +11,14 @@ sender never writes a payload after ``send``, and the receiver only reads
 what ``recv`` returns. In particular a collective never sends a view of a
 buffer its caller can see (the input, or the output it returns): a peer
 may still be reading that view after this rank has returned.
+
+Bad peers are refused before anything is queued or waited on: ``send``
+and ``recv`` with a peer outside the world raise :class:`IndexOutOfRange`,
+and with the rank itself :class:`SelfSend`.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
-from dataclasses import dataclass
 
 from ..errors import IndexOutOfRange, LengthMismatch, SelfSend, Unsupported
 
@@ -28,35 +30,20 @@ COLLECTIVE_TAGS_PER_COMM = 1 << 26
 MAX_COMM_ID = (1 << 32) // COLLECTIVE_TAGS_PER_COMM - 1
 
 
-def check_payload(src: int, dst: int, tag: int, payload) -> None:
-    if dst == src:
-        raise SelfSend(f"rank {src} cannot send to itself")
+def check_peer(rank: int, peer: int, size: int) -> None:
+    if not 0 <= peer < size:
+        raise IndexOutOfRange(f"peer {peer} not in [0, {size})")
+    if peer == rank:
+        raise SelfSend(f"rank {rank} cannot exchange with itself")
+
+
+def check_payload(tag: int, payload) -> None:
     if tag < 0:
         raise IndexOutOfRange(f"tag must be >= 0, got {tag}")
     if len(payload) % 4 != 0:
         raise LengthMismatch(
             f"payload length {len(payload)} is not a multiple of 4"
         )
-
-
-@dataclass
-class LogRecord:
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-
-
-class MessageLog:
-    """Thread-safe record of every send that passed through a transport."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.records: list[LogRecord] = []
-
-    def add(self, src: int, dst: int, tag: int, nbytes: int) -> None:
-        with self._lock:
-            self.records.append(LogRecord(src, dst, tag, nbytes))
 
 
 class ChannelStore:

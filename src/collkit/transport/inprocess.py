@@ -8,7 +8,7 @@ import threading
 import time
 
 from ..errors import IndexOutOfRange, PeerUnreachable, Timeout, Unsupported
-from .base import ChannelStore, Communicator, MessageLog, check_payload
+from .base import ChannelStore, Communicator, check_payload, check_peer
 
 
 class InProcessTransport:
@@ -23,12 +23,7 @@ class InProcessTransport:
         # rank it is addressed to, not every waiting rank.
         self._lock = threading.Lock()
         self._conds = [threading.Condition(self._lock) for _ in range(num_ranks)]
-        self.log: MessageLog | None = None
         self._abort_reason: str | None = None
-
-    def start_logging(self) -> MessageLog:
-        self.log = MessageLog()
-        return self.log
 
     def endpoint(self, rank: int) -> "InProcessEndpoint":
         if not 0 <= rank < self.num_ranks:
@@ -51,16 +46,14 @@ class InProcessTransport:
     # endpoint plumbing
 
     def _send(self, src: int, dst: int, tag: int, payload) -> None:
-        check_payload(src, dst, tag, payload)
-        if not 0 <= dst < self.num_ranks:
-            raise IndexOutOfRange(f"dst {dst} not in [0, {self.num_ranks})")
-        if self.log is not None:
-            self.log.add(src, dst, tag, len(payload))
+        check_peer(src, dst, self.num_ranks)
+        check_payload(tag, payload)
         with self._lock:
             self._store.put(src, dst, tag, payload)
             self._conds[dst].notify_all()
 
     def _recv(self, dst: int, src: int, tag: int):
+        check_peer(dst, src, self.num_ranks)
         cond = self._conds[dst]
         with self._lock:
             while True:

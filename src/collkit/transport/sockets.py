@@ -5,8 +5,13 @@ rank; no rank coordinates membership. Frames are a 16-byte little-endian
 header (u32 src, u32 dst, u32 tag, u32 payload_len) followed by the
 payload; header and payload go out in one gathered send and are never
 concatenated, and each payload is read straight into one buffer of its
-final size. Each endpoint accepts connections from higher ranks and dials
-lower ranks, retrying until the connect timeout elapses.
+final size.
+
+Each endpoint sets up its mesh on the caller's thread: it dials every
+lower rank, retrying until the connect timeout elapses, then accepts
+every higher rank. A dial completes in the peer's listen backlog, so no
+rank waits on another rank's accept. When any part of setup fails, the
+endpoint closes what it opened and raises :class:`PeerUnreachable`.
 """
 from __future__ import annotations
 
@@ -18,11 +23,12 @@ import time
 from dataclasses import dataclass
 
 from ..errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, Timeout, Unsupported
-from .base import ChannelStore, check_payload
+from .base import ChannelStore, check_payload, check_peer
 
 FRAME_HEADER = struct.Struct("<IIII")
 MAX_FRAME_PAYLOAD = (1 << 32) - 1
 DEFAULT_CONNECT_TIMEOUT = 30.0
+CLOSE_DRAIN_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,6 @@ def parse_host_file(path) -> list[HostEntry]:
     if [e.rank for e in entries] != list(range(len(entries))):
         raise IndexOutOfRange(f"{path}: ranks must be exactly 0..{len(entries) - 1}")
     return entries
-
-
-def write_host_file(path, entries) -> None:
-    with open(path, "w") as fh:
-        for e in sorted(entries, key=lambda e: e.rank):
-            fh.write(f"{e.rank} {e.host} {e.port}\n")
 
 
 def frame_header(src: int, dst: int, tag: int, nbytes: int) -> bytes:
@@ -98,7 +98,8 @@ class SocketEndpoint:
 
     ``recv_timeout`` (seconds) bounds how long a receive may block; ``None``
     blocks indefinitely. Construction blocks until the full mesh to all
-    peers is up or ``connect_timeout`` passes.
+    peers is up; dialing a peer, and each accept with its rank read, give
+    up after ``connect_timeout``.
     """
 
     def __init__(
@@ -120,40 +121,30 @@ class SocketEndpoint:
         self._closing = False
         self._socks: dict[int, socket.socket] = {}
         self._out: dict[int, queue.Queue] = {}
-        self._threads: list[threading.Thread] = []
+        self._writers: list[threading.Thread] = []
 
-        if listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.hosts[rank].host, self.hosts[rank].port))
-            listener.listen(self.size)
-        self._listener = listener
-
-        expected_inbound = self.size - 1 - rank
-        accept_err: list[BaseException] = []
-
-        def acceptor() -> None:
-            try:
-                self._listener.settimeout(connect_timeout)
-                for _ in range(expected_inbound):
-                    sock, _addr = self._listener.accept()
+        self._listener = listener or socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            if listener is None:
+                listener = self._listener
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                listener.bind((self.hosts[rank].host, self.hosts[rank].port))
+                listener.listen(self.size)
+            for peer in range(rank):
+                self._register_peer(peer, self._dial(peer, connect_timeout))
+            listener.settimeout(connect_timeout)
+            for _ in range(rank + 1, self.size):
+                sock, _addr = listener.accept()
+                try:
+                    sock.settimeout(connect_timeout)
                     peer = struct.unpack("<I", _read_exact(sock, 4))[0]
-                    self._register_peer(peer, sock)
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                accept_err.append(exc)
-
-        accept_thread = threading.Thread(target=acceptor, daemon=True)
-        accept_thread.start()
-
-        for peer in range(rank):
-            self._register_peer(peer, self._dial(peer, connect_timeout))
-
-        accept_thread.join(timeout=connect_timeout + 1.0)
-        if accept_thread.is_alive() or accept_err:
+                except BaseException:
+                    sock.close()
+                    raise
+                self._register_peer(peer, sock)
+        except Exception as exc:
             self.close()
-            raise PeerUnreachable(
-                f"rank {rank}: mesh setup failed ({accept_err or 'accept timeout'})"
-            )
+            raise PeerUnreachable(f"rank {rank}: mesh setup failed ({exc})") from exc
 
     def _dial(self, peer: int, timeout: float) -> socket.socket:
         entry = self.hosts[peer]
@@ -177,11 +168,10 @@ class SocketEndpoint:
         with self._cond:
             self._socks[peer] = sock
             self._out[peer] = queue.Queue()
-        reader = threading.Thread(target=self._read_loop, args=(peer, sock), daemon=True)
+        threading.Thread(target=self._read_loop, args=(peer, sock), daemon=True).start()
         writer = threading.Thread(target=self._write_loop, args=(peer, sock), daemon=True)
-        self._threads += [reader, writer]
-        reader.start()
         writer.start()
+        self._writers.append(writer)
 
     def _read_loop(self, peer: int, sock: socket.socket) -> None:
         try:
@@ -193,7 +183,7 @@ class SocketEndpoint:
                 with self._cond:
                     self._store.put(src, dst, tag, payload)
                     self._cond.notify_all()
-        except (ConnectionError, OSError):
+        except OSError:  # ConnectionError included
             with self._cond:
                 self._dead.add(peer)
                 self._cond.notify_all()
@@ -212,14 +202,16 @@ class SocketEndpoint:
                 self._cond.notify_all()
 
     def send(self, dst: int, tag: int, payload) -> None:
-        check_payload(self.rank, dst, tag, payload)
+        check_peer(self.rank, dst, self.size)
+        check_payload(tag, payload)
         header = frame_header(self.rank, dst, tag, len(payload))
         with self._cond:
-            if dst in self._dead or dst not in self._out:
+            if dst in self._dead:
                 raise PeerUnreachable(f"rank {dst} is unreachable")
             self._out[dst].put((header, payload))
 
     def recv(self, src: int, tag: int):
+        check_peer(self.rank, src, self.size)
         deadline = (
             time.monotonic() + self.recv_timeout if self.recv_timeout is not None else None
         )
@@ -242,22 +234,25 @@ class SocketEndpoint:
                     self._cond.wait(remaining)
 
     def close(self) -> None:
+        """Send the frames already queued, then shut every connection down.
+        A writer blocked on a peer that stopped reading waits at most
+        :data:`CLOSE_DRAIN_S`."""
         with self._cond:
             if self._closing:
                 return
             self._closing = True
         for q in self._out.values():
             q.put(None)
+        deadline = time.monotonic() + CLOSE_DRAIN_S
+        for writer in self._writers:
+            writer.join(max(0.0, deadline - time.monotonic()))
         for sock in self._socks.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             sock.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._listener.close()
 
     def max_in_flight(self) -> int:
         with self._cond:
@@ -282,32 +277,23 @@ def local_listeners(count: int, host: str = "127.0.0.1"):
 def connect_local_mesh(
     count: int, *, connect_timeout: float = 10.0, recv_timeout: float | None = None
 ) -> list[SocketEndpoint]:
-    """Construct a fully meshed set of endpoints on localhost, one per rank
-    (endpoints are built concurrently because setup blocks on the mesh)."""
+    """Construct a fully meshed set of endpoints on localhost, one per rank.
+    They are built from the highest rank down on the caller's thread: each
+    rank dials lower ranks that are already listening, and accepts the
+    dials of higher ranks that wait in its backlog."""
     listeners, entries = local_listeners(count)
-    endpoints: list[SocketEndpoint | None] = [None] * count
-    errors: list[BaseException] = []
-
-    def build(rank: int) -> None:
-        try:
-            endpoints[rank] = SocketEndpoint(
-                rank,
-                entries,
-                connect_timeout=connect_timeout,
-                recv_timeout=recv_timeout,
+    endpoints: list[SocketEndpoint] = []
+    try:
+        for rank in reversed(range(count)):
+            endpoint = SocketEndpoint(
+                rank, entries, connect_timeout=connect_timeout, recv_timeout=recv_timeout,
                 listener=listeners[rank],
             )
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=build, args=(r,), daemon=True) for r in range(count)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=connect_timeout + 5.0)
-    if errors or any(e is None for e in endpoints):
-        for e in endpoints:
-            if e is not None:
-                e.close()
-        raise errors[0] if errors else PeerUnreachable("mesh setup incomplete")
+            endpoints.insert(0, endpoint)
+    except BaseException:
+        for ep in endpoints:
+            ep.close()
+        for sock in listeners:
+            sock.close()
+        raise
     return endpoints

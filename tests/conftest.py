@@ -1,4 +1,6 @@
 """Shared helpers for the test suite."""
+from typing import NamedTuple
+
 import numpy as np
 
 from collkit import collectives
@@ -10,8 +12,8 @@ from collkit.hierarchy import (
     hier_all_gather,
     hier_reduce_scatter,
 )
-from collkit.simnet import StepCoster, build_schedule
-from collkit.transport import InProcessTransport, run_ranks
+from collkit.simnet import StepCoster, build_schedule, simulate
+from collkit.transport import Communicator, run_ranks
 from collkit.transport.base import (
     COLLECTIVE_TAGS_PER_COMM,
     STEP_TAGS_PER_COLLECTIVE,
@@ -31,8 +33,45 @@ FIDELITY_CELLS = [
 ]
 
 
+class Sent(NamedTuple):
+    src: int
+    dst: int
+    tag: int
+    nbytes: int
+
+
+class LoggedEndpoint:
+    """Transport endpoint wrapper that appends a :class:`Sent` record to
+    ``log`` for every send. The sub-communicators that
+    ``Communicator.subgroup`` derives share the wrapped endpoint, so the
+    hierarchical phases are logged too."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+        self.rank = inner.rank
+
+    def send(self, dst, tag, payload):
+        self._inner.send(dst, tag, payload)
+        self._log.append(Sent(self.rank, dst, tag, len(payload)))
+
+    def recv(self, src, tag):
+        return self._inner.recv(src, tag)
+
+
+def run_logged(num_ranks, fn):
+    """``run_ranks(num_ranks, fn)`` with every rank's sends logged; returns
+    (per-rank results, log)."""
+    log = []
+
+    def logged(comm):
+        return fn(Communicator(LoggedEndpoint(comm.endpoint, log), comm.members))
+
+    return run_ranks(num_ranks, logged), log
+
+
 def replay_schedule(log_records, collective, algorithm):
-    """Group an instrumented transport log into the per-step message
+    """Group a logged run's sends into the per-step message
     multisets of the synchronous schedule, ordered as the simulator orders
     its steps.
 
@@ -57,12 +96,10 @@ def replay_schedule(log_records, collective, algorithm):
 
 def inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed):
     """Run one collective on the in-process backend over ``topo`` and
-    return its message log. Each rank's input is integer-valued, drawn
+    return its log of sends. Each rank's input is integer-valued, drawn
     from ``seed``: ``n_elems`` elements for all-gather, ``p * n_elems``
     for reduce-scatter."""
     p = topo.world_size
-    transport = InProcessTransport(p)
-    log = transport.start_logging()
     rng = np.random.default_rng(seed)
     size = n_elems if collective == "all_gather" else n_elems * p
     inputs = [rng.integers(-8, 8, size=size).astype(np.float32) for _ in range(p)]
@@ -73,8 +110,7 @@ def inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed):
     else:
         op = getattr(collectives, collective)
         fn = lambda c: op(c, algorithm, inputs[c.rank])  # noqa: E731
-    run_ranks(p, fn, transport=transport)
-    return log
+    return run_logged(p, fn)[1]
 
 
 def price_log(config, log_records, collective, algorithm):
@@ -98,6 +134,14 @@ def price_log(config, log_records, collective, algorithm):
         reductions = [(dst, nbytes) for _, dst, nbytes in step] if reduces else ()
         seconds += coster.charge_step(step, reductions)[0]
     return seconds, coster.counters, len(steps)
+
+
+def seconds_ratio(config_a, config_b, collective, algorithm, m_bytes):
+    """Simulated time of ``config_a`` over that of ``config_b``."""
+    return (
+        simulate(config_a, collective, algorithm, m_bytes).seconds
+        / simulate(config_b, collective, algorithm, m_bytes).seconds
+    )
 
 
 def scheduled_step_multisets(config, collective, algorithm, m_bytes, inter_alg):

@@ -10,13 +10,19 @@ import time
 
 import numpy as np
 import pytest
-from conftest import FIDELITY_CELLS, inprocess_log, replay_schedule, scheduled_step_multisets
+from conftest import (
+    FIDELITY_CELLS,
+    inprocess_log,
+    replay_schedule,
+    scheduled_step_multisets,
+    seconds_ratio,
+)
 
 from collkit import collectives
 from collkit.bench.sweep import RunRecord, SweepConfig, calibrate_selector, run_sweep, summarize
 from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
-from collkit.simnet import SimConfig, compare_policies, reduce_profile_gap, simulate
+from collkit.simnet import SimConfig, simulate
 from collkit.topology import Topology
 from collkit.transport.inprocess import run_ranks
 
@@ -143,10 +149,10 @@ def test_criterion_3_nic_balance_and_bottleneck():
     # Flat recursive doubling's widest step moves every rank's data across
     # nodes at once, so the policies differ by the full NIC fan-out there.
     big = [
-        compare_policies(single, balanced, "all_gather", "recursive", m)
+        seconds_ratio(single, balanced, "all_gather", "recursive", m)
         for m in (256 << 20, 512 << 20)
     ]
-    tiny = compare_policies(single, balanced, "all_gather", "recursive", 4096)
+    tiny = seconds_ratio(single, balanced, "all_gather", "recursive", 4096)
 
     ok = ratio_nics == 1.0 and all(3.5 <= r <= 4.0 for r in big) and abs(tiny - 1.0) <= 0.05
     report(
@@ -161,12 +167,15 @@ def test_criterion_4_reduction_placement():
     """Slow (host-side) reductions dominate bandwidth-bound reduce-scatter:
     gap > 3x with the default 200x throughput ratio, exactly 1.0 when both
     profiles are equal, and monotone in message size."""
-    config = SimConfig(topo=Topology(4, 1, 1), params=CostParams())
-    gaps = [reduce_profile_gap(config, m) for m in (4 << 20, 64 << 20, 256 << 20)]
-    equal = CostParams(gamma_reduce_slow=CostParams().gamma_reduce_fast)
-    identity = reduce_profile_gap(
-        SimConfig(topo=Topology(4, 1, 1), params=equal), 256 << 20
-    )
+    def gap(params, m):
+        fast, slow = (
+            SimConfig(topo=Topology(4, 1, 1), params=params, reduce_profile=profile)
+            for profile in ("fast", "slow")
+        )
+        return seconds_ratio(slow, fast, "reduce_scatter", "ring", m)
+
+    gaps = [gap(CostParams(), m) for m in (4 << 20, 64 << 20, 256 << 20)]
+    identity = gap(CostParams(gamma_reduce_slow=CostParams().gamma_reduce_fast), 256 << 20)
     ok = gaps[-1] > 3.0 and identity == 1.0 and gaps == sorted(gaps)
     report(
         4,
@@ -235,7 +244,7 @@ def test_criterion_7_schedule_fidelity():
         p = topo.world_size
         m_bytes = p * n_elems * 4
         log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=p)
-        real_steps = replay_schedule(log.records, collective, algorithm)
+        real_steps = replay_schedule(log, collective, algorithm)
 
         config = SimConfig(topo=topo, params=CostParams())
         sim_steps = scheduled_step_multisets(config, collective, algorithm, m_bytes, inter_alg)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_logged
 
 from collkit.collectives import (
     recdbl_all_gather,
@@ -11,7 +12,6 @@ from collkit.collectives import (
     ring_reduce_scatter,
 )
 from collkit.errors import LengthMismatch, NonPowerOfTwo, NotDivisible
-from collkit.transport import InProcessTransport
 from collkit.transport.base import COLLECTIVE_TAGS_PER_COMM, STEP_TAGS_PER_COLLECTIVE
 from collkit.transport.inprocess import run_ranks
 
@@ -185,7 +185,7 @@ def test_duality_reduce_scatter_chunks_reassemble_to_sum():
 def _count_sends(log, p, n_elems):
     per_rank_sends = {r: 0 for r in range(p)}
     per_rank_bytes = {r: 0 for r in range(p)}
-    for rec in log.records:
+    for rec in log:
         per_rank_sends[rec.src] += 1
         per_rank_bytes[rec.src] += rec.nbytes
     return per_rank_sends, per_rank_bytes
@@ -194,10 +194,8 @@ def _count_sends(log, p, n_elems):
 @pytest.mark.parametrize("p", [2, 4, 8])
 def test_ring_step_count_and_bytes_on_wire(p):
     n = 8
-    transport = InProcessTransport(p)
-    log = transport.start_logging()
     inputs = integer_inputs(p, n, seed=1)
-    run_ranks(p, lambda c: ring_all_gather(c, inputs[c.rank]), transport=transport)
+    _, log = run_logged(p, lambda c: ring_all_gather(c, inputs[c.rank]))
     sends, nbytes = _count_sends(log, p, n)
     assert all(v == p - 1 for v in sends.values())
     assert all(v == (p - 1) * n * 4 for v in nbytes.values())
@@ -206,10 +204,8 @@ def test_ring_step_count_and_bytes_on_wire(p):
 @pytest.mark.parametrize("p", [2, 4, 8, 16])
 def test_recursive_step_count_and_bytes_on_wire(p):
     n = 8
-    transport = InProcessTransport(p)
-    log = transport.start_logging()
     inputs = integer_inputs(p, n, seed=2)
-    run_ranks(p, lambda c: recdbl_all_gather(c, inputs[c.rank]), transport=transport)
+    _, log = run_logged(p, lambda c: recdbl_all_gather(c, inputs[c.rank]))
     sends, nbytes = _count_sends(log, p, n)
     assert all(v == int(math.log2(p)) for v in sends.values())
     # sum over steps of 2^k * n * 4 equals (p-1) * n * 4, same as ring

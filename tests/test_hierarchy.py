@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import run_logged
 from hypothesis import example, given, settings, strategies as st
 
 from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
@@ -15,7 +16,7 @@ from collkit.hierarchy import (
     shuffle_local_major_to_global,
 )
 from collkit.topology import Topology
-from collkit.transport import Communicator, InProcessTransport
+from collkit.transport import Communicator
 from collkit.transport.base import MAX_COMM_ID
 from collkit.transport.inprocess import run_ranks
 
@@ -195,13 +196,11 @@ def test_world_size_mismatch_raises():
 
 def _inter_message_counts(topo, inter, n_elems=8):
     p = topo.world_size
-    transport = InProcessTransport(p)
-    log = transport.start_logging()
     plan = HierPlan(topo=topo, inter_alg=inter)
     inputs = integer_inputs(p, n_elems, seed=3)
-    run_ranks(p, lambda c: hier_all_gather(plan, c, inputs[c.rank]), transport=transport)
+    _, log = run_logged(p, lambda c: hier_all_gather(plan, c, inputs[c.rank]))
     counts = {r: 0 for r in range(p)}
-    for rec in log.records:
+    for rec in log:
         if topo.node_of(rec.src) != topo.node_of(rec.dst):
             counts[rec.src] += 1
     return counts

@@ -13,6 +13,7 @@ from conftest import (
     price_log,
     replay_schedule,
     scheduled_step_multisets,
+    seconds_ratio,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,6 @@ from collkit import simnet
 from collkit.bench.sweep import calibrate_selector
 from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.errors import (
-    ConfigMismatch,
     IndexOutOfRange,
     LengthMismatch,
     NonPowerOfTwo,
@@ -36,8 +36,6 @@ from collkit.simnet import (
     SimStep,
     StepCoster,
     build_schedule,
-    compare_policies,
-    reduce_profile_gap,
     ring_hops,
     ring_links,
     simulate,
@@ -604,42 +602,30 @@ def test_compare_policies_identity_with_single_nic_hardware():
     topo = Topology(4, 2, 1)
     bal = cfg(topo)
     sgl = cfg(topo, nic_policy="single_nic")
-    assert compare_policies(sgl, bal, "all_gather", "recursive", 8 << 20) == 1.0
+    assert seconds_ratio(sgl, bal, "all_gather", "recursive", 8 << 20) == 1.0
 
 
 def test_compare_policies_ratio_in_bandwidth_and_latency_regimes():
     topo = Topology(2, 8, 4)
     bal = cfg(topo)
     sgl = cfg(topo, nic_policy="single_nic")
-    big = compare_policies(sgl, bal, "all_gather", "recursive", 256 << 20)
+    big = seconds_ratio(sgl, bal, "all_gather", "recursive", 256 << 20)
     assert 3.5 <= big <= 4.0
-    small = compare_policies(sgl, bal, "all_gather", "recursive", 4096)
+    small = seconds_ratio(sgl, bal, "all_gather", "recursive", 4096)
     assert abs(small - 1.0) <= 0.05
 
 
-def test_compare_policies_rejects_mismatched_configs():
-    topo = Topology(2, 8, 4)
-    with pytest.raises(ConfigMismatch):
-        compare_policies(
-            cfg(topo, nic_policy="single_nic"),
-            cfg(Topology(4, 8, 4)),
-            "all_gather",
-            "ring",
-            1 << 20,
-        )
-    with pytest.raises(ConfigMismatch):
-        compare_policies(cfg(topo), cfg(topo), "all_gather", "ring", 1 << 20)
-
-
 def test_reduce_profile_gap_identity_and_limits():
-    equal_gamma = CostParams(gamma_reduce_slow=CostParams().gamma_reduce_fast)
-    config = cfg(Topology(4, 1, 1), equal_gamma)
-    assert reduce_profile_gap(config, 64 << 20) == 1.0
+    def gap(params, m):
+        slow = cfg(Topology(4, 1, 1), params, reduce_profile="slow")
+        return seconds_ratio(slow, cfg(Topology(4, 1, 1), params), "reduce_scatter", "ring", m)
 
-    config = cfg(Topology(4, 1, 1))
-    tiny = reduce_profile_gap(config, 1024)
+    equal_gamma = CostParams(gamma_reduce_slow=CostParams().gamma_reduce_fast)
+    assert gap(equal_gamma, 64 << 20) == 1.0
+
+    tiny = gap(CostParams(), 1024)
     assert abs(tiny - 1.0) <= 0.05
-    gaps = [reduce_profile_gap(config, m) for m in (1 << 20, 16 << 20, 256 << 20)]
+    gaps = [gap(CostParams(), m) for m in (1 << 20, 16 << 20, 256 << 20)]
     assert gaps == sorted(gaps)
     assert gaps[-1] > 3.0
 
@@ -746,7 +732,7 @@ def test_schedule_fidelity_against_instrumented_run(
     n_elems = 4
     m_bytes = p * n_elems * 4
     log = inprocess_log(topo, collective, algorithm, inter_alg, n_elems, seed=42)
-    real_steps = replay_schedule(log.records, collective, algorithm)
+    real_steps = replay_schedule(log, collective, algorithm)
     sim_steps = scheduled_step_multisets(cfg(topo), collective, algorithm, m_bytes, inter_alg)
     assert sim_steps == real_steps
 
@@ -795,7 +781,7 @@ def test_real_run_logs_price_exactly_like_simulate(
             for alpha in (1e-6, 1e-3):
                 params = CostParams(alpha_inter=alpha, gamma_reduce_slow=1e-6)
                 config = SimConfig(topo, params, policy, phys, profile)
-                got, counters, steps = price_log(config, log.records, collective, algorithm)
+                got, counters, steps = price_log(config, log, collective, algorithm)
                 sim = simulate(config, collective, algorithm, m_bytes, inter_alg)
                 assert got == sim.seconds
                 assert counters == sim.counters

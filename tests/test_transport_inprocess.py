@@ -62,11 +62,11 @@ def test_payload_must_be_whole_elements():
 def test_message_invariants():
     from collkit.transport.base import check_payload
 
-    check_payload(0, 1, 3, b"abcd")
+    check_payload(3, b"abcd")
     with pytest.raises(LengthMismatch):
-        check_payload(0, 1, 0, b"abc")
+        check_payload(0, b"abc")
     with pytest.raises(IndexOutOfRange):
-        check_payload(0, 1, -1, b"")
+        check_payload(-1, b"")
 
 
 def test_recv_posted_before_send():

@@ -1,5 +1,6 @@
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from collkit.transport.sockets import (
     FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
     HostEntry,
+    SocketEndpoint,
     _send_parts,
     connect_local_mesh,
     frame_header,
+    local_listeners,
     parse_host_file,
-    write_host_file,
 )
 
 
@@ -50,7 +52,7 @@ def on_ranks(endpoints, fn):
 def test_host_file_round_trip(tmp_path):
     path = tmp_path / "hosts"
     entries = [HostEntry(r, "127.0.0.1", 9000 + r) for r in range(3)]
-    write_host_file(path, entries)
+    path.write_text("".join(f"{e.rank} {e.host} {e.port}\n" for e in reversed(entries)))
     assert parse_host_file(path) == entries
 
 
@@ -59,6 +61,35 @@ def test_host_file_rejects_rank_gaps(tmp_path):
     path.write_text("0 127.0.0.1 9000\n2 127.0.0.1 9002\n")
     with pytest.raises(IndexOutOfRange):
         parse_host_file(path)
+
+
+def test_failed_setup_closes_what_it_opened():
+    """Rank 2 of 3 reaches rank 0 but not rank 1, which is not listening.
+    Its constructor raises PeerUnreachable and leaves no connection thread
+    running and its listener closed."""
+    listeners, entries = local_listeners(3)
+    listeners[1].close()
+    before = threading.active_count()
+    try:
+        with pytest.raises(PeerUnreachable):
+            SocketEndpoint(2, entries, connect_timeout=0.3, listener=listeners[2])
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+        assert listeners[2].fileno() == -1
+    finally:
+        for sock in listeners:
+            sock.close()
+
+
+def test_port_in_use_is_peer_unreachable():
+    listeners, entries = local_listeners(1)
+    try:
+        with pytest.raises(PeerUnreachable, match="in use"):
+            SocketEndpoint(0, entries, connect_timeout=0.3)
+    finally:
+        listeners[0].close()
 
 
 def test_frame_header_is_16_byte_little_endian():
@@ -167,6 +198,19 @@ def test_peer_crash_raises_unreachable():
             endpoints[0].recv(1, 0)
     finally:
         endpoints[0].close()
+
+
+def test_close_delivers_the_frames_already_queued():
+    endpoints = connect_local_mesh(2, connect_timeout=10.0)
+    try:
+        chunk = bytes(1 << 16)
+        for tag in range(64):
+            endpoints[0].send(1, tag, chunk)
+        endpoints[0].close()
+        assert [len(endpoints[1].recv(0, tag)) for tag in range(64)] == [len(chunk)] * 64
+    finally:
+        for ep in endpoints:
+            ep.close()
 
 
 def test_recv_timeout():
