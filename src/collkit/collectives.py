@@ -13,13 +13,14 @@ schedule against a communicator, one for all-gather and one for
 reduce-scatter; :mod:`collkit.simnet` prices the very same runs, once per
 run.
 
-Data path: each hop copies its bytes once. A collective's first send is
-the one copy of the caller's data; after that, an all-gather forwards the
-payload it received whenever it sends that range on, and a reduce-scatter
-sends the partial sums it computed on the step before, which nothing
-writes again. No payload is ever a view of the caller's input or of the
-returned output, since a peer may still be reading it after this rank
-returns (see :mod:`collkit.transport.base`).
+Data path: each hop copies its bytes at most once. Every send lends its
+rows (an all-gather's output range, a reduce-scatter's input chunk or last
+partial) as a :class:`~collkit.transport.base.Loan`, which the in-process
+receiver reads in place from 64 KiB up: an all-gather copies it into its
+output, a reduce-scatter adds it into a new partial and copies nothing. At
+p=4 a rank copies 4 blocks per ring, recursive or 2x2 hierarchical
+all-gather, its own included. Each collective waits for its loans to be
+released before it returns, so its caller may then overwrite its buffers.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible, Unsupported
+from .transport.base import Loan
 
 if TYPE_CHECKING:
     from .transport.base import Communicator
@@ -110,26 +112,6 @@ def as_elements(buf) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def to_payload(arr: np.ndarray) -> bytes:
-    """A private copy of ``arr`` in C order (strided views included)."""
-    return arr.tobytes()
-
-
-def as_payload(arr: np.ndarray) -> memoryview:
-    """Zero-copy payload over a C-contiguous array that nothing writes
-    again; the receiver reads the sender's memory directly."""
-    return memoryview(arr.reshape(-1)).cast("B")
-
-
-def from_payload(data, expected_elems: int | None = None) -> np.ndarray:
-    arr = np.frombuffer(data, dtype=np.float32)
-    if expected_elems is not None and arr.size != expected_elems:
-        raise LengthMismatch(
-            f"received {arr.size} elements, expected {expected_elems}"
-        )
-    return arr
-
-
 def reduce_inplace(acc: np.ndarray, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise ``acc[i] + other[i]`` in one pass, written to ``out``
     (default: into ``acc``); returns the destination."""
@@ -138,10 +120,16 @@ def reduce_inplace(acc: np.ndarray, other: np.ndarray, out: np.ndarray | None = 
     return np.add(acc, other, out=acc if out is None else out)
 
 
-def _summed(acc: np.ndarray, data) -> np.ndarray:
-    """``acc`` plus a received payload of the same shape, in a new array."""
-    other = from_payload(data, acc.size).reshape(acc.shape)
-    return reduce_inplace(acc, other, out=np.empty(acc.shape, dtype=np.float32))
+def _borrow(comm: Communicator, source: int, tag: int, shape) -> tuple[np.ndarray, Loan]:
+    """Receive one payload as an array of ``shape``, and the loan to release
+    once it is read; bytes (from sockets) get a loan of their own."""
+    loan = comm.recv(source, tag)
+    if not isinstance(loan, Loan):
+        loan = Loan(np.frombuffer(loan, dtype=np.float32))
+    try:
+        return loan.array.reshape(shape), loan
+    except ValueError:
+        raise LengthMismatch(f"received {loan.array.size} elements, expected {shape}") from None
 
 
 def _chunks(buf, p: int) -> np.ndarray:
@@ -182,22 +170,23 @@ def all_gather(comm: Communicator, algorithm: str, buf, out: np.ndarray | None =
     p, r = comm.size, comm.rank
     runs = _runs("all_gather", algorithm, p)
     blocks = _gather_blocks(buf, p, r, out)
+    loans = []
     if runs:
         tag = comm.next_base_tag(sum(run.count for run in runs))
-        got, payload = None, None  # the range received on the last step
         for to, frm, w, count, first in runs:
             peer, source = to[r], frm[r]
             for i in range(count):
                 lo = first(r, i)
-                if got != (lo, w):
-                    # The range sent lives in the returned output: copy it.
-                    payload = to_payload(blocks[lo : lo + w])
-                comm.send(peer, tag, payload)
-                payload = comm.recv(source, tag)
+                loans.append(Loan(blocks[lo : lo + w]))
+                comm.send(peer, tag, loans[-1])
+                lo = first(source, i)
+                dst = blocks[lo : lo + w]
+                arr, got = _borrow(comm, source, tag, dst.shape)
+                dst[...] = arr
+                got.release()
                 tag += 1
-                got = (first(source, i), w)
-                dst = blocks[got[0] : got[0] + w]
-                dst[...] = from_payload(payload, dst.size).reshape(dst.shape)
+    for loan in loans:
+        loan.wait()
     return blocks.reshape(-1) if out is None else out
 
 
@@ -214,21 +203,26 @@ def reduce_scatter(comm: Communicator, algorithm: str, buf) -> np.ndarray:
     # the last step; every other chunk is still this rank's own input.
     part, at = chunks[:0], 0
 
-    def rows(lo: int, w: int) -> tuple[np.ndarray, bool]:
-        """This rank's value of chunks lo..lo+w-1, and whether it is a
-        partial of the last step rather than the caller's input."""
+    def rows(lo: int, w: int) -> np.ndarray:
+        """This rank's value of chunks lo..lo+w-1."""
         if at <= lo and lo + w <= at + len(part):
-            return part[lo - at : lo - at + w], True
-        return chunks[lo : lo + w], False
+            return part[lo - at : lo - at + w]
+        return chunks[lo : lo + w]
 
+    loans = []
     for to, frm, w, count, first in runs:
         peer, source = to[r], frm[r]
         for i in range(count):
-            sent, fresh = rows(first(r, i), w)
-            comm.send(peer, tag, as_payload(sent) if fresh else to_payload(sent))
+            loans.append(Loan(rows(first(r, i), w)))
+            comm.send(peer, tag, loans[-1])
             lo = first(source, i)
-            part, at = _summed(rows(lo, w)[0], comm.recv(source, tag)), lo
+            mine = rows(lo, w)
+            other, got = _borrow(comm, source, tag, mine.shape)
+            part, at = reduce_inplace(mine, other, out=np.empty(mine.shape, dtype=np.float32)), lo
+            got.release()
             tag += 1
+    for loan in loans:
+        loan.wait()
     return part.reshape(-1)
 
 

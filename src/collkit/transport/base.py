@@ -3,14 +3,13 @@
 Matching is exact on (source rank, tag) with FIFO delivery per
 (src, dst, tag) channel; there are no wildcard receives.
 
-Payload ownership contract: a payload is any bytes-like object whose
-``len()`` is its byte count (``bytes``, or ``memoryview(arr).cast("B")``),
-and that length must be a multiple of 4 (whole 32-bit elements). Backends
-may hand the very object sent to the receiver without copying it, so the
-sender never writes a payload after ``send``, and the receiver only reads
-what ``recv`` returns. In particular a collective never sends a view of a
-buffer its caller can see (the input, or the output it returns): a peer
-may still be reading that view after this rank has returned.
+Payload ownership contract: a payload is a :class:`Loan` of a float32
+array, or a bytes-like object whose ``len()`` (its byte count) is a
+multiple of 4. A loan lends the sender's array: the receiver reads
+``loan.array`` and then calls ``release()``, and the sender writes that
+array again only after ``loan.wait()`` returns. A backend may send a copy
+instead (sockets always, the in-process backend under ``EAGER_BYTES``),
+leaving the loan released. Nothing writes a bytes payload after ``send``.
 
 Bad peers are refused before anything is queued or waited on: ``send``
 and ``recv`` with a peer outside the world raise :class:`IndexOutOfRange`,
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import IndexOutOfRange, LengthMismatch, SelfSend, Unsupported
+from ..errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, SelfSend, Unsupported
 
 # Tag namespace layout. Each communicator owns a tag range derived from its
 # id; each collective invocation on a communicator draws a fresh base tag
@@ -46,6 +45,42 @@ def check_payload(tag: int, payload) -> None:
         )
 
 
+class Loan:
+    """A payload that lends ``array`` (float32, any strides). It reads
+    released until a backend binds it to the sender's ``cond``."""
+
+    __slots__ = ("array", "released", "_cond", "_transport")
+
+    def __init__(self, array) -> None:
+        self.array = array
+        self.released = True
+
+    def __len__(self) -> int:
+        return self.array.nbytes
+
+    def bind(self, transport, cond) -> None:
+        self.released = False
+        self._transport, self._cond = transport, cond
+
+    def release(self) -> None:
+        """Called by the receiver once it has read ``array``."""
+        if not self.released:
+            with self._cond:
+                self.released = True
+                self._cond.notify_all()
+
+    def wait(self) -> None:
+        """Block until the receiver has released the array; raises
+        :class:`PeerUnreachable` once ``transport.abort`` was called."""
+        if not self.released:
+            with self._cond:
+                while not self.released:
+                    reason = self._transport.abort_reason
+                    if reason is not None:
+                        raise PeerUnreachable(f"loan never released: {reason}")
+                    self._cond.wait()
+
+
 class ChannelStore:
     """FIFO queues keyed by (src, dst, tag). A channel's queue exists only
     while it holds messages, so tags used once leave nothing behind. Keeps
@@ -53,16 +88,16 @@ class ChannelStore:
     their own locking."""
 
     def __init__(self) -> None:
-        self._queues: dict[tuple[int, int, int], deque[bytes]] = {}
+        self._queues: dict[tuple[int, int, int], deque] = {}
         self._high_water = 0
 
-    def put(self, src: int, dst: int, tag: int, payload: bytes) -> None:
+    def put(self, src: int, dst: int, tag: int, payload) -> None:
         q = self._queues.setdefault((src, dst, tag), deque())
         q.append(payload)
         if len(q) > self._high_water:
             self._high_water = len(q)
 
-    def try_pop(self, src: int, dst: int, tag: int) -> bytes | None:
+    def try_pop(self, src: int, dst: int, tag: int):
         key = (src, dst, tag)
         q = self._queues.get(key)
         if q is None:

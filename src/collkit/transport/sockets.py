@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, Timeout, Unsupported
-from .base import ChannelStore, check_payload, check_peer
+from .base import ChannelStore, Loan, check_payload, check_peer
 
 FRAME_HEADER = struct.Struct("<IIII")
 MAX_FRAME_PAYLOAD = (1 << 32) - 1
@@ -204,6 +204,8 @@ class SocketEndpoint:
     def send(self, dst: int, tag: int, payload) -> None:
         check_peer(self.rank, dst, self.size)
         check_payload(tag, payload)
+        if isinstance(payload, Loan):  # copied here, so never bound and released
+            payload = payload.array.tobytes()
         header = frame_header(self.rank, dst, tag, len(payload))
         with self._cond:
             if dst in self._dead:

@@ -1,7 +1,8 @@
-"""Payload ownership on the in-process data path: ring all-gather forwards
-the payload it received, no payload is a view of the caller's input or of
-the returned output, and a rank that overwrites both right after a call
-cannot corrupt what its peers receive."""
+"""Payload ownership on the in-process data path: every send lends a
+:class:`Loan` that is released before its collective returns, an
+all-gather lends its returned output itself (the one copy per hop is the
+receiver's), and a rank that overwrites its input and output right after
+a call cannot corrupt what its peers receive."""
 import functools
 
 import numpy as np
@@ -12,10 +13,11 @@ from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
 from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.topology import Topology
 from collkit.transport import Communicator
-from collkit.transport.inprocess import run_ranks
+from collkit.transport.base import Loan
+from collkit.transport.inprocess import EAGER_BYTES, run_ranks
 
 P = 4
-BLOCK = 6
+BLOCK = EAGER_BYTES // 4  # so that every send lends instead of copying
 TOPO = Topology(2, 2, 1)
 
 
@@ -78,24 +80,34 @@ def _recorded(fn, inputs):
     return run_ranks(P, rank_main)
 
 
-def test_ring_all_gather_forwards_the_received_payload():
-    inputs = _inputs("all_gather", seed=1)
-    for ep, _ in _recorded(collectives.ring_all_gather, inputs):
-        assert len(ep.sent) == len(ep.received) == P - 1
-        for s in range(1, P - 1):
-            assert ep.sent[s][1] is ep.received[s - 1][1]
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_loan_is_released_when_its_collective_returns(name):
+    collective, fn = CASES[name]
+    inputs = _inputs(collective, seed=2)
+
+    def rank_main(comm):
+        ep = RecordingEndpoint(comm.endpoint)
+        fn(Communicator(ep, comm.members), inputs[comm.rank])
+        return [payload.released for _tag, payload in ep.sent]
+
+    for released in run_ranks(P, rank_main):
+        assert released and all(released)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_no_payload_is_a_view_of_input_or_output(name):
+def test_every_send_lends_and_all_gather_lends_its_output(name):
     collective, fn = CASES[name]
-    inputs = _inputs(collective, seed=2)
-    for rank, (ep, out) in enumerate(_recorded(fn, inputs)):
-        assert ep.sent
+    inputs = _inputs(collective, seed=3)
+    recorded = _recorded(fn, inputs)
+    sent = [payload for ep, _ in recorded for _tag, payload in ep.sent]
+    received = [payload for ep, _ in recorded for _tag, payload in ep.received]
+    # Each receiver got the very loan its sender made, not a copy of it.
+    assert sent and sorted(map(id, sent)) == sorted(map(id, received))
+    for ep, out in recorded:
         for _tag, payload in ep.sent:
-            raw = np.frombuffer(payload, dtype=np.uint8)
-            assert not np.shares_memory(raw, inputs[rank])
-            assert not np.shares_memory(raw, out)
+            assert isinstance(payload, Loan)
+            if collective == "all_gather":
+                assert np.shares_memory(payload.array, out)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from collkit.errors import (
@@ -15,7 +16,8 @@ from collkit.errors import (
 )
 from collkit.transport import InProcessTransport
 from collkit.transport import inprocess
-from collkit.transport.inprocess import run_ranks
+from collkit.transport.base import Loan
+from collkit.transport.inprocess import EAGER_BYTES, run_ranks
 
 
 def test_loopback_round_trip():
@@ -145,6 +147,58 @@ def test_rank_error_reaches_caller_while_peer_blocks():
         run_ranks(2, fn)
     assert time.monotonic() - start < 0.5
     assert len(woken) == 1 and "rank 1 failed" in str(woken[0])
+    assert _rank_threads() == []
+
+
+@pytest.mark.parametrize("nbytes", [4, EAGER_BYTES - 4, EAGER_BYTES])
+def test_loans_under_the_eager_limit_are_copied_at_send(nbytes):
+    """Rank 0 overwrites its array after ``send``; rank 1 reads the loan
+    only after that, so it sees the original values only if it got a
+    copy."""
+    data = np.arange(nbytes // 4, dtype=np.float32)
+
+    def fn(comm):
+        if comm.rank == 0:
+            loan = Loan(data.copy())
+            comm.send(1, 0, loan)
+            eager = loan.released
+            loan.array[...] = -1
+            comm.send(1, 1, b"")
+            return eager
+        comm.recv(0, 1)
+        got = comm.recv(0, 0)
+        values = got.array.copy()
+        got.release()
+        return values
+
+    eager, values = run_ranks(2, fn)
+    assert eager == (nbytes < EAGER_BYTES)
+    assert np.array_equal(values, data if eager else np.full_like(data, -1))
+
+
+def test_receiver_failing_while_it_holds_a_loan_unblocks_the_sender():
+    """Rank 1 takes rank 0's loan and fails without releasing it; rank 0,
+    waiting for the release, is woken with ``PeerUnreachable`` at once and
+    the caller gets rank 1's error."""
+    times = {}
+
+    def fn(comm):
+        if comm.rank == 1:
+            assert not comm.recv(0, 0).released
+            time.sleep(0.05)  # let rank 0 wait on the loan first
+            times["raised"] = time.monotonic()
+            raise ValueError("boom")
+        loan = Loan(np.zeros(EAGER_BYTES // 4, dtype=np.float32))
+        comm.send(1, 0, loan)
+        try:
+            loan.wait()
+        except PeerUnreachable:
+            times["woken"] = time.monotonic()
+            raise
+
+    with pytest.raises(ValueError, match="boom"):
+        run_ranks(2, fn)
+    assert times["woken"] - times["raised"] < 0.1
     assert _rank_threads() == []
 
 
@@ -278,3 +332,46 @@ def test_per_rank_wakeups_lose_no_message_under_contention():
     for r in range(p):
         want = [(src, k) for k in range(rounds) for src in reversed(range(p)) if src != r]
         assert got[r] == want
+
+
+def test_loans_lose_no_release_under_contention():
+    # More rank threads than CPUs and a short switch interval: a release
+    # that woke the wrong rank, or none, would leave a sender in ``wait``;
+    # a ``wait`` that returned early would let its sender overwrite the
+    # array while a receiver still reads it.
+    p, rounds = 8, 30
+    t = InProcessTransport(p)
+    torn = []
+
+    def rank_main(r):
+        ep = t.endpoint(r)
+        arr = np.empty(EAGER_BYTES // 4, dtype=np.float32)
+        for k in range(rounds):
+            arr[...] = r * rounds + k
+            loans = []
+            for d in range(p):
+                if d != r:
+                    loans.append(Loan(arr))
+                    ep.send(d, k, loans[-1])
+            for src in reversed(range(p)):
+                if src != r:
+                    loan = ep.recv(src, k)
+                    if not np.all(loan.array == src * rounds + k):
+                        torn.append((r, src, k))
+                    loan.release()
+            for loan in loans:
+                loan.wait()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rank_main, args=(r,), daemon=True) for r in range(p)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 30
+        for th in threads:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert torn == []

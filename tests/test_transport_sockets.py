@@ -8,6 +8,7 @@ import pytest
 from collkit.collectives import ring_all_gather
 from collkit.errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, SelfSend, Timeout
 from collkit.transport import Communicator
+from collkit.transport.base import Loan
 from collkit.transport.sockets import (
     FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
@@ -152,6 +153,24 @@ def test_memoryview_payloads_round_trip(mesh4):
     got, empty = on_ranks(mesh4, fn)[1]
     assert np.array_equal(got, data)
     assert len(empty) == 0
+
+
+def test_loan_is_copied_at_send_and_released_at_once(mesh4):
+    grid = np.arange(4 * 3 * 5, dtype=np.float32).reshape(4, 3, 5)
+    want = grid[:, 1, :].copy()
+
+    def fn(comm):
+        if comm.rank == 0:
+            loan = Loan(grid[:, 1, :])
+            comm.send(1, 7, loan)
+            grid[...] = -1
+            return loan.released
+        if comm.rank == 1:
+            return np.frombuffer(comm.recv(0, 7), np.float32)
+
+    released, got = on_ranks(mesh4, fn)[:2]
+    assert released
+    assert np.array_equal(got, want.reshape(-1))
 
 
 def test_round_trip_and_fifo(mesh4):
