@@ -255,14 +255,10 @@ def run_sweep(config: SweepConfig, backend: str, *, endpoint=None) -> list[RunRe
                     phys_topology=config.phys_topology,
                     reduce_profile=config.reduce_profile,
                 )
-                result = simnet.simulate(
-                    sim_config,
-                    config.collective,
-                    config.algorithm,
-                    m_bytes,
-                    inter_alg=config.inter,
+                seconds = simnet.seconds(
+                    sim_config, config.collective, config.algorithm, m_bytes, config.inter
                 )
-                emit(0, result.seconds)
+                emit(0, seconds)
                 continue
 
             inputs = make_inputs(config, cell_id, p, m_bytes, config.collective)
@@ -355,9 +351,11 @@ def calibrate_selector(
     phys_topology: str = "ring_of_nodes",
     collective: str = "all_gather",
 ) -> CalibrationTable:
-    """Simulate ring vs recursive inter-node collectives over single-GPU
-    nodes and record the winner per (node count, size). Ring wins ties and
-    is the only candidate for non-power-of-two node counts."""
+    """Price ring vs recursive inter-node collectives over single-GPU
+    nodes with :func:`collkit.simnet.seconds` (``simulate``'s one pricing
+    loop, ``simnet._price``, without NIC counters or trace) and record the
+    winner per (node count, size). Ring wins ties and is the only
+    candidate for non-power-of-two node counts."""
     params = params or CostParams()
     table = CalibrationTable()
     for n in n_nodes_list:
@@ -366,9 +364,9 @@ def calibrate_selector(
             topo=topo, params=params, phys_topology=phys_topology
         )
         for m in sizes:
-            t_ring = simnet.simulate(config, collective, "ring", m).seconds
+            t_ring = simnet.seconds(config, collective, "ring", m)
             if collectives.is_power_of_two(n):
-                t_rec = simnet.simulate(config, collective, "recursive", m).seconds
+                t_rec = simnet.seconds(config, collective, "recursive", m)
             else:
                 t_rec = math.inf
             winner = "ring" if t_ring <= t_rec else "recursive"

@@ -46,26 +46,28 @@ builder checks the first two:
 A census depends on the machine shape, the NIC policy, the physical
 topology and the phase's algorithm, never on sizes or costs. So
 :func:`_plan`, the one planner of :func:`simulate` and
-:func:`build_schedule`, is cached per shape: (topology, NIC policy,
-physical topology, collective, algorithm, resolved inter-node
-algorithm). For each phase it holds the divisor of ``m_bytes`` that
-gives the block, the census, each run's busiest-resource multiplicity,
-and the phase's NIC-counter weights. A warm call then validates
-``m_bytes``, resolves ``auto``, prices each run with a few float
-operations and adds each phase's counters once, in exact integer
-arithmetic: bytes are a weight per NIC times the block, and packets,
-which round up per message, a sum over the phase's inter-node widths.
+:func:`build_schedule`, is cached per shape: (the topology's three
+counts, NIC policy, physical topology, collective, algorithm, resolved
+inter-node algorithm). For each phase it holds the divisor of ``m_bytes``
+that gives the block, the census, each run's busiest-resource
+multiplicity, and the phase's NIC-counter weights. A warm call then
+validates ``m_bytes``, resolves ``auto`` and prices each run with a few
+float operations in :func:`_price`, the one pricing loop. :func:`seconds`
+stops there; :func:`simulate` also adds each phase's counters once, in
+exact integer arithmetic: bytes are a weight per NIC times the block,
+and packets, which round up per message, a sum over the phase's
+inter-node widths.
 
 A run's makespan is added once per step, in step order (:func:`_fold`:
 ``functools.reduce`` up to ``_ACCUMULATE_ABOVE`` steps, above it
 ``np.add.accumulate``, which also adds strictly in sequence), so the
-float adds are those of a per-step loop. The trace keeps one record per
-run; ``trace.steps`` builds the per-step :class:`SimStep` list on first
-read and caches it. So seconds, per-step traces and counters are ``==``
+float adds are those of a per-step loop. :func:`simulate`'s trace keeps
+one record per run; ``trace.steps`` builds the per-step :class:`SimStep`
+list on first read. So seconds, per-step traces and counters are ``==``
 to charging every step of :func:`build_schedule` through
-:class:`StepCoster`, and a call that reads only seconds costs O(runs),
-not O(steps). The trace holds no messages: :func:`build_schedule` walks
-the same plan and yields them.
+:class:`StepCoster`, and :func:`seconds`, for callers that read only
+seconds, costs O(runs), with no counters or trace. The trace holds no
+messages: :func:`build_schedule` walks the same plan and yields them.
 """
 from __future__ import annotations
 
@@ -518,7 +520,9 @@ def _planned_phase(
 
 @functools.lru_cache(maxsize=256)
 def _plan(
-    topo: Topology,
+    num_nodes: int,
+    gpus_per_node: int,
+    nics_per_node: int,
     nic_policy: str,
     phys_topology: str,
     collective: str,
@@ -528,8 +532,9 @@ def _plan(
     """The phases of one collective run, in order, each with its census:
     the world phase of a flat run, or the inter- and intra-node phases of
     a hierarchical one over its resolved inter-node algorithm ``inter``.
-    Cached per shape, never per size or cost; refuses every shape the
-    schedules refuse."""
+    Cached per shape, never per size or cost, on the topology's counts: a
+    Topology's hash and == run in Python. Refuses what the schedules do."""
+    topo = Topology(num_nodes, gpus_per_node, nics_per_node)
     if algorithm != "hierarchical":
         phases = [("world", algorithm, topo.world_size)]
     elif inter not in ("ring", "recursive"):
@@ -569,7 +574,8 @@ def _plan_of(config: SimConfig, collective: str, algorithm: str, m_bytes: int, i
         inter = resolve_inter_algorithm(
             inter_alg, topo.num_nodes, m_bytes // topo.gpus_per_node, config.params
         )
-    return _plan(topo, config.nic_policy, config.phys_topology, collective, algorithm, inter)
+    shape = (topo.num_nodes, topo.gpus_per_node, topo.nics_per_node)
+    return _plan(*shape, config.nic_policy, config.phys_topology, collective, algorithm, inter)
 
 
 # --- pricing -----------------------------------------------------------------
@@ -583,6 +589,8 @@ def _fold(total: float, w: float, k: int) -> float:
     """``total`` plus ``k`` adds of ``w``, one at a time in order: the float
     adds of ``total += w`` in a loop. ``np.add.accumulate`` adds strictly in
     sequence too, so it gives the same bits for long runs."""
+    if k == 1:
+        return total + w
     if k <= _ACCUMULATE_ABOVE:
         return functools.reduce(operator.add, itertools.repeat(w, k), total)
     terms = np.full(k + 1, w)
@@ -597,12 +605,13 @@ def _makespan(run: RunCensus, busiest: int, b: int, params: CostParams, gamma: f
     ``np.bincount`` does."""
     wire = params.beta_inter * b
     busy = _fold(0.0, wire, busiest)
-    if run.inter:
-        busy = max(busy, params.alpha_inter + wire)
-    if run.intra:
-        busy = max(busy, params.alpha_intra + params.beta_intra * b)
-    if run.reductions:
-        busy = max(busy, gamma * b)
+    # Each ``t > busy`` keeps the first of equals, as ``max`` does.
+    if run.inter and (t := params.alpha_inter + wire) > busy:
+        busy = t
+    if run.intra and (t := params.alpha_intra + params.beta_intra * b) > busy:
+        busy = t
+    if run.reductions and (t := gamma * b) > busy:
+        busy = t
     return busy
 
 
@@ -630,6 +639,39 @@ def _counters(k: int, counts: list[int]) -> NicCounters:
 _trace_run = functools.partial(tuple.__new__, TraceRun)
 
 
+def _price(plan, m_bytes: int, params: CostParams, gamma: float, runs=None) -> float:
+    """The seconds of one collective run of ``m_bytes`` from its ``plan``:
+    each run's makespan, added once per step in step order. Appends each
+    run's :class:`TraceRun` to ``runs`` when it is given."""
+    first, total = 0, 0.0
+    for phase in plan:
+        block = m_bytes // phase.divisor
+        for run, busiest in zip(phase.census, phase.busiest):
+            b = run.width * block
+            makespan = _makespan(run, busiest, b, params, gamma)
+            total = _fold(total, makespan, run.count)
+            if runs is not None:
+                n = run.messages
+                runs.append(_trace_run((first, run.count, makespan, n, n * b, run.reductions)))
+                first += run.count
+    return total
+
+
+def seconds(
+    config: SimConfig,
+    collective: str,
+    algorithm: str,
+    m_bytes: int,
+    inter_alg: str = "ring",
+) -> float:
+    """The virtual seconds of one collective run, bit for bit
+    ``simulate(...).seconds``, after the same checks, but without its NIC
+    counters and trace."""
+    params = config.params
+    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
+    return _price(plan, m_bytes, params, params.gamma(config.reduce_profile))
+
+
 def simulate(
     config: SimConfig,
     collective: str,
@@ -640,27 +682,16 @@ def simulate(
     """Run one collective schedule to completion under virtual time.
 
     Deterministic: identical inputs give bit-identical times, counters,
-    and traces. Each run of identical steps is priced once, from the
-    cached plan: its makespan is added once per step, in step order, and
-    each phase's integer counter deltas once. The trace keeps one record
-    per run.
+    and traces. The seconds and the trace, one record per run, come from
+    :func:`seconds`'s loop; each phase's integer counter deltas are added
+    once.
     """
-    topo, params = config.topo, config.params
+    k, params = config.topo.nics_per_node, config.params
     plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
-    gamma = params.gamma(config.reduce_profile)
-    counts = [0] * (4 * topo.nics_per_node)
     runs = []
-    first, total = 0, 0.0
+    total = _price(plan, m_bytes, params, params.gamma(config.reduce_profile), runs)
+    counts = [0] * (4 * k)
     for phase in plan:
-        block = m_bytes // phase.divisor
-        for run, busiest in zip(phase.census, phase.busiest):
-            b = run.width * block
-            makespan = _makespan(run, busiest, b, params, gamma)
-            total = _fold(total, makespan, run.count)
-            n = run.messages
-            runs.append(_trace_run((first, run.count, makespan, n, n * b, run.reductions)))
-            first += run.count
         if phase.nic_packets:
-            _count(counts, phase, block, params.packet_bytes)
-    return SimResult(total, _counters(topo.nics_per_node, counts), StepTrace(runs))
-
+            _count(counts, phase, m_bytes // phase.divisor, params.packet_bytes)
+    return SimResult(total, _counters(k, counts), StepTrace(runs))

@@ -129,13 +129,13 @@ def test_run_sweep_sim_single_deterministic_record():
 )
 def test_run_sweep_refuses_non_power_of_two_before_any_cell(monkeypatch, algorithm, inter, grid):
     calls = []
-    simulate = simnet.simulate
+    seconds = simnet.seconds
 
     def counted(*args, **kw):
         calls.append(args)
-        return simulate(*args, **kw)
+        return seconds(*args, **kw)
 
-    monkeypatch.setattr(simnet, "simulate", counted)
+    monkeypatch.setattr(simnet, "seconds", counted)
     config = small_config(algorithm=algorithm, inter=inter, grid=grid, sizes=(6 << 12,), verify=False)
     with pytest.raises(NonPowerOfTwo):
         run_sweep(config, "sim")

@@ -21,6 +21,7 @@ from collkit import simnet
 from collkit.bench.sweep import calibrate_selector
 from collkit.costmodel import CostParams, t_rec, t_ring
 from collkit.errors import (
+    CollkitError,
     IndexOutOfRange,
     LengthMismatch,
     NonPowerOfTwo,
@@ -216,6 +217,8 @@ def test_simulate_matches_charging_every_step(run):
     )
     res = simulate(config, collective, algorithm, m_bytes, inter_alg=inter_alg)
     assert res.seconds == want_seconds
+    seconds = simnet.seconds(config, collective, algorithm, m_bytes, inter_alg=inter_alg)
+    assert seconds.hex() == want_seconds.hex()
     assert res.trace.steps == want_steps
     assert res.counters.bytes_in == want_counters.bytes_in
     assert res.counters.bytes_out == want_counters.bytes_out
@@ -225,7 +228,7 @@ def test_simulate_matches_charging_every_step(run):
 
 @pytest.fixture
 def priced(monkeypatch):
-    """The message counts of every run ``simulate`` prices."""
+    """The message counts of every run ``simulate`` or ``seconds`` prices."""
     calls = []
     makespan = simnet._makespan
 
@@ -256,6 +259,24 @@ def test_flat_recursive_prices_every_step(priced):
     topo = Topology(16, 4, 2)
     simulate(cfg(topo), "reduce_scatter", "recursive", 64 << 10)
     assert len(priced) == 6
+
+
+@pytest.mark.parametrize(
+    "collective, algorithm, inter_alg, topo",
+    [
+        ("all_gather", "ring", "ring", Topology(256, 8, 4)),
+        ("all_gather", "hierarchical", "recursive", Topology(8, 8, 4)),
+        ("reduce_scatter", "hierarchical", "recursive", Topology(8, 8, 4)),
+    ],
+    ids=["ring-256x8x4", "ag-hier-recursive-8x8x4", "rs-hier-recursive-8x8x4"],
+)
+def test_seconds_prices_the_runs_simulate_prices(priced, collective, algorithm, inter_alg, topo):
+    args = (cfg(topo), collective, algorithm, topo.world_size * 64, inter_alg)
+    simulate(*args)
+    by_simulate = list(priced)
+    priced.clear()
+    simnet.seconds(*args)
+    assert priced == by_simulate != []
 
 
 def test_simulate_makes_no_charge_step_calls(monkeypatch):
@@ -307,7 +328,10 @@ def test_census_holds_per_nic_counts_not_per_rank_arrays():
             for value in run:
                 assert type(value) in (int, bool) or all(type(n) is int for n in value)
     for algorithm, inter in (("ring", None), ("hierarchical", "recursive")):
-        plan = simnet._plan(topo, "balanced", "ring_of_nodes", "all_gather", algorithm, inter)
+        plan = simnet._plan(
+            topo.num_nodes, topo.gpus_per_node, topo.nics_per_node,
+            "balanced", "ring_of_nodes", "all_gather", algorithm, inter,
+        )
         for phase in plan:
             assert all(type(n) is int for n in phase.busiest)
             weights = [moved for _, moved in phase.nic_packets] + [phase.nic_bytes]
@@ -567,8 +591,8 @@ def test_seconds_fold_step_makespans_in_step_order(algorithm, inter_alg, topo):
 
 @st.composite
 def folds(draw):
-    """A start ``t`` (0.0 or positive), an addend ``w`` and a count ``k``
-    on either side of the fold's switch. Hypothesis picks the exponents and
+    """A start ``t`` (0.0 or positive), an addend ``w`` and a count ``k``:
+    0, 1 (the fold's single add), or on either side of its switch. Hypothesis picks the exponents and
     counts; a seeded generator fills in full mantissas, so that adding in
     another order would change the last bits."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -577,7 +601,13 @@ def folds(draw):
     if draw(st.booleans()):
         t = float(rng.uniform(1, 10)) * 10.0 ** draw(st.integers(-300, 2))
     threshold = simnet._ACCUMULATE_ABOVE
-    k = draw(st.one_of(st.integers(0, 5000), st.integers(threshold - 2, threshold + 2)))
+    k = draw(
+        st.one_of(
+            st.sampled_from([0, 1]),
+            st.integers(0, 5000),
+            st.integers(threshold - 2, threshold + 2),
+        )
+    )
     return t, w, k
 
 
@@ -692,6 +722,31 @@ def test_validation_errors():
     for field_name in ("nic_policy", "phys_topology", "reduce_profile"):
         with pytest.raises(Unsupported):
             SimConfig(topo=topo, **{field_name: "bogus"})
+
+
+# Shapes simulate refuses on three single-GPU nodes, and what it raises.
+REFUSED = {
+    "recursive-3-ranks": (NonPowerOfTwo, ("all_gather", "recursive", 3 << 20, "ring")),
+    "inter-recursive-3-nodes": (
+        NonPowerOfTwo, ("reduce_scatter", "hierarchical", 3 << 20, "recursive"),
+    ),
+    "indivisible": (NotDivisible, ("all_gather", "ring", 1000, "ring")),
+    "negative": (LengthMismatch, ("all_gather", "ring", -3 << 20, "ring")),
+    "collective": (Unsupported, ("all_to_all", "ring", 3 << 20, "ring")),
+    "algorithm": (Unsupported, ("all_gather", "butterfly", 3 << 20, "ring")),
+    "inter": (Unsupported, ("all_gather", "hierarchical", 3 << 20, "tree")),
+}
+
+
+@pytest.mark.parametrize("error, args", REFUSED.values(), ids=REFUSED)
+def test_seconds_refuses_what_simulate_refuses(error, args):
+    config = cfg(Topology(3, 1, 1))
+    raised = []
+    for price in (simulate, simnet.seconds):
+        with pytest.raises(CollkitError) as caught:
+            price(config, *args)
+        raised.append(caught.type)
+    assert raised == [error, error]
 
 
 def test_hierarchical_inter_auto_resolves():
