@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 from .. import simnet
-from ..costmodel import CostParams
+from ..costmodel import INTER_ALGORITHMS, CostParams
 from ..errors import CollkitError, NonPowerOfTwo, Unsupported, VerificationFailed
-from ..hierarchy import INTER_ALGORITHMS
 from ..transport.inprocess import run_ranks
 from ..transport.sockets import SocketEndpoint, parse_host_file
 from . import sweep as sweepmod

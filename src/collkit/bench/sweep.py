@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import collectives, simnet
-from ..costmodel import CalibrationEntry, CalibrationTable, CostParams
+from ..costmodel import INTER_ALGORITHMS, CalibrationEntry, CalibrationTable, CostParams
 from ..errors import (
     EmptyCell,
     GridMismatch,
@@ -29,7 +29,7 @@ from ..errors import (
     Unsupported,
     VerificationFailed,
 )
-from ..hierarchy import INTER_ALGORITHMS, HierPlan, hier_all_gather, hier_reduce_scatter
+from ..hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from ..topology import Topology
 from ..transport.base import Communicator
 from ..transport.inprocess import run_ranks

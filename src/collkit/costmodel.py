@@ -1,5 +1,5 @@
-"""Analytic startup/bandwidth cost models and the inter-node algorithm
-selector.
+"""Analytic startup/bandwidth cost models, the phases of the hierarchical
+collectives, and the inter-node algorithm selector.
 
 Times follow the usual two-parameter form: ``alpha`` seconds of startup per
 message plus ``beta`` seconds per byte. For a p-rank collective moving an
@@ -17,6 +17,7 @@ from .collectives import is_power_of_two
 from .errors import EmptyTable, NonPowerOfTwo, Unsupported
 from .topology import Topology
 
+INTER_ALGORITHMS = ("ring", "recursive", "auto")
 SELECTOR_MODES = ("analytic", "table")
 
 
@@ -84,23 +85,32 @@ def t_rec(p: int, m_bytes: float, params: CostParams, level: str = "inter") -> f
     return alpha * math.log2(p) + beta * m_bytes * (p - 1) / p
 
 
-def t_hierarchical(
-    topo: Topology, m_bytes: float, inter_alg: str, params: CostParams
-) -> float:
-    """Modeled time of the two-level collective: the inter-node phase moves
-    the per-local-rank share (m / gpus_per_node) across nodes, the
-    intra-node ring moves the full buffer inside each node; the local
-    transpose is modeled as free."""
+def hierarchical_phases(
+    topo: Topology, collective: str, inter: str
+) -> tuple[tuple[str, str, int], ...]:
+    """The phases of one hierarchical run, in run order, as (group kind,
+    flat algorithm, divisor of ``m_bytes`` giving its block): ``inter``
+    across the nodes, then a ring inside each node, reversed for
+    reduce-scatter. The real runs, the simulator and :func:`t_hierarchical`
+    all read this one composition."""
+    if inter not in ("ring", "recursive"):
+        raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
+    phases = (("inter", inter, topo.world_size), ("intra", "ring", topo.gpus_per_node))
+    return phases[::-1] if collective == "reduce_scatter" else phases
+
+
+def t_hierarchical(topo: Topology, m_bytes: float, inter_alg: str, params: CostParams) -> float:
+    """Modeled time of the two-level collective: each phase of
+    :func:`hierarchical_phases` at its level. The inter-node phase moves the
+    per-local-rank share (m / gpus_per_node) across nodes, on which ``auto``
+    resolves; the intra-node ring moves the full buffer inside each node."""
     n, m_gpus = topo.num_nodes, topo.gpus_per_node
-    sub_m = m_bytes / m_gpus
-    inter_alg = resolve_inter_algorithm(inter_alg, n, sub_m, params)
-    if inter_alg == "ring":
-        inter = t_ring(n, sub_m, params, level="inter")
-    elif inter_alg == "recursive":
-        inter = t_rec(n, sub_m, params, level="inter")
-    else:
-        raise Unsupported(f"unknown inter_alg {inter_alg!r}")
-    return inter + t_ring(m_gpus, m_bytes, params, level="intra")
+    inter_alg = resolve_inter_algorithm(inter_alg, n, m_bytes / m_gpus, params)
+    total = 0.0
+    for kind, alg, divisor in hierarchical_phases(topo, "all_gather", inter_alg):
+        p = n if kind == "inter" else m_gpus
+        total += (t_ring if alg == "ring" else t_rec)(p, m_bytes / (divisor // p), params, kind)
+    return total
 
 
 @dataclass(frozen=True)

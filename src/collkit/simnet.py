@@ -48,15 +48,17 @@ topology and the phase's algorithm, never on sizes or costs. So
 :func:`_plan`, the one planner of :func:`simulate` and
 :func:`build_schedule`, is cached per shape: (the topology's three
 counts, NIC policy, physical topology, collective, algorithm, resolved
-inter-node algorithm). For each phase it holds the divisor of ``m_bytes``
-that gives the block, the census, each run's busiest-resource
-multiplicity, and the phase's NIC-counter weights. A warm call then
-validates ``m_bytes``, resolves ``auto`` and prices each run with a few
-float operations in :func:`_price`, the one pricing loop. :func:`seconds`
-stops there; :func:`simulate` also adds each phase's counters once, in
-exact integer arithmetic: bytes are a weight per NIC times the block,
-and packets, which round up per message, a sum over the phase's
-inter-node widths.
+inter-node algorithm). A hierarchical run's phases are those of
+:func:`collkit.costmodel.hierarchical_phases`, which the real
+hierarchical collectives loop over too. For each phase the plan holds
+the divisor of ``m_bytes`` that gives the block, the census, each run's
+busiest-resource multiplicity, and the phase's NIC-counter weights. A
+warm call then validates ``m_bytes``, resolves ``auto`` and prices each
+run with a few float operations in :func:`_price`, the one pricing loop.
+:func:`seconds` stops there; :func:`simulate` also adds each phase's
+counters once, in exact integer arithmetic: bytes are a weight per NIC
+times the block, and packets, which round up per message, a sum over the
+phase's inter-node widths.
 
 A run's makespan is added once per step, in step order (:func:`_fold`:
 ``functools.reduce`` up to ``_ACCUMULATE_ABOVE`` steps, above it
@@ -80,9 +82,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import collectives
-from .costmodel import CostParams, resolve_inter_algorithm
+from .costmodel import CostParams, hierarchical_phases, resolve_inter_algorithm
 from .errors import LengthMismatch, NotDivisible, Unsupported
-from .hierarchy import INTER_ALGORITHMS
 from .topology import Topology, groups
 
 NIC_POLICIES = ("balanced", "single_nic")
@@ -530,19 +531,16 @@ def _plan(
     inter: str | None,
 ) -> tuple[Phase, ...]:
     """The phases of one collective run, in order, each with its census:
-    the world phase of a flat run, or the inter- and intra-node phases of
-    a hierarchical one over its resolved inter-node algorithm ``inter``.
+    the world phase of a flat run, or the phases of
+    :func:`collkit.costmodel.hierarchical_phases` for a hierarchical one
+    over its resolved inter-node algorithm ``inter``.
     Cached per shape, never per size or cost, on the topology's counts: a
     Topology's hash and == run in Python. Refuses what the schedules do."""
     topo = Topology(num_nodes, gpus_per_node, nics_per_node)
-    if algorithm != "hierarchical":
-        phases = [("world", algorithm, topo.world_size)]
-    elif inter not in ("ring", "recursive"):
-        raise Unsupported(f"inter_alg must be one of {INTER_ALGORITHMS}")
+    if algorithm == "hierarchical":
+        phases = hierarchical_phases(topo, collective, inter)
     else:
-        phases = [("inter", inter, topo.world_size), ("intra", "ring", topo.gpus_per_node)]
-        if collective == "reduce_scatter":
-            phases.reverse()
+        phases = [("world", algorithm, topo.world_size)]
     return tuple(
         _planned_phase(
             kind,

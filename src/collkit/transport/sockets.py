@@ -256,10 +256,6 @@ class SocketEndpoint:
             sock.close()
         self._listener.close()
 
-    def max_in_flight(self) -> int:
-        with self._cond:
-            return self._store.max_in_flight()
-
 
 def local_listeners(count: int, host: str = "127.0.0.1"):
     """Bind ``count`` listeners on OS-assigned ports; returns (listeners,

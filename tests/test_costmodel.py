@@ -8,6 +8,7 @@ from collkit.costmodel import (
     CalibrationTable,
     CostParams,
     choose_inter_algorithm,
+    hierarchical_phases,
     t_hierarchical,
     t_rec,
     t_ring,
@@ -92,6 +93,44 @@ def test_t_hierarchical_hand_computed_sum():
         + params.beta_intra * m * 7 / 8
     )
     assert math.isclose(t_hierarchical(topo, m, "recursive", params), want_rec, rel_tol=1e-12)
+
+
+@st.composite
+def hierarchical_cells(draw):
+    inter = draw(st.sampled_from(["ring", "recursive"]))
+    if inter == "recursive":
+        n = draw(st.sampled_from([1, 2, 4, 8, 64, 1024]))
+    else:
+        n = draw(st.integers(1, 1024))
+    topo = Topology(n, draw(st.integers(1, 16)), 1)
+    m = draw(st.one_of(st.integers(0, 1 << 50), st.floats(0.0, 1e15)))
+    cost = st.floats(0.0, 1e-3)
+    params = CostParams(
+        alpha_inter=draw(cost), beta_inter=draw(cost), alpha_intra=draw(cost), beta_intra=draw(cost)
+    )
+    return topo, m, inter, params
+
+
+@given(cell=hierarchical_cells())
+@settings(deadline=None, max_examples=200)
+def test_t_hierarchical_is_the_inter_phase_plus_the_intra_ring(cell):
+    """Bit for bit the two-term formula: the inter-node phase over the
+    per-local-rank share, plus the intra-node ring over the full buffer."""
+    topo, m, inter, params = cell
+    n, m_gpus = topo.num_nodes, topo.gpus_per_node
+    t_inter = t_ring if inter == "ring" else t_rec
+    want = t_inter(n, m / m_gpus, params, level="inter") + t_ring(m_gpus, m, params, level="intra")
+    assert t_hierarchical(topo, m, inter, params) == want
+
+
+def test_hierarchical_phases_order_and_refusals():
+    topo = Topology(4, 2, 1)
+    all_gather = hierarchical_phases(topo, "all_gather", "recursive")
+    assert all_gather == (("inter", "recursive", 8), ("intra", "ring", 2))
+    assert hierarchical_phases(topo, "reduce_scatter", "recursive") == all_gather[::-1]
+    for unresolved in ("auto", "tree"):
+        with pytest.raises(Unsupported):
+            hierarchical_phases(topo, "all_gather", unresolved)
 
 
 def test_t_hierarchical_rejects_recursive_non_power_of_two():

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
 from collkit.collectives import ring_all_gather, ring_reduce_scatter
 
-from collkit.errors import LengthMismatch, NonPowerOfTwo, Unsupported
+from collkit.costmodel import CalibrationTable
+from collkit.errors import EmptyTable, LengthMismatch, NonPowerOfTwo, Unsupported
 from collkit.hierarchy import (
     HierPlan,
     _sub_communicators,
@@ -122,6 +123,14 @@ def test_plan_auto_resolution():
 def test_plan_rejects_unknown_inter():
     with pytest.raises(Unsupported):
         HierPlan(topo=topo_for(2, 2), inter_alg="tree")
+
+
+@pytest.mark.parametrize("table", [None, CalibrationTable()], ids=["none", "empty"])
+def test_plan_refuses_table_mode_auto_without_entries(table):
+    with pytest.raises(EmptyTable):
+        HierPlan(topo=topo_for(4, 2), inter_alg="auto", selector_mode="table", table=table)
+    # A fixed inter-node algorithm never reads the table.
+    HierPlan(topo=topo_for(4, 2), inter_alg="ring", selector_mode="table", table=table)
 
 
 def test_plan_rejects_unknown_selector_mode():

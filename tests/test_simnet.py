@@ -12,6 +12,7 @@ from conftest import (
     inprocess_log,
     price_log,
     replay_schedule,
+    run_logged,
     scheduled_step_multisets,
     seconds_ratio,
 )
@@ -28,6 +29,7 @@ from collkit.errors import (
     NotDivisible,
     Unsupported,
 )
+from collkit.hierarchy import HierPlan, hier_all_gather, hier_reduce_scatter
 from collkit.simnet import (
     NIC_POLICIES,
     PHYS_TOPOLOGIES,
@@ -790,6 +792,28 @@ def test_schedule_fidelity_against_instrumented_run(
     real_steps = replay_schedule(log, collective, algorithm)
     sim_steps = scheduled_step_multisets(cfg(topo), collective, algorithm, m_bytes, inter_alg)
     assert sim_steps == real_steps
+
+
+# Criterion 7's shapes, and 4x2x1, where analytic auto picks recursive.
+DEFAULT_INTER_SHAPES = sorted({(n, m) for *_, n, m, _ in FIDELITY_CELLS} | {(4, 2)})
+
+
+@pytest.mark.parametrize("n_nodes,m_gpus", DEFAULT_INTER_SHAPES)
+@pytest.mark.parametrize("collective", ["all_gather", "reduce_scatter"])
+def test_real_run_and_schedule_default_to_one_inter_algorithm(collective, n_nodes, m_gpus):
+    """A real run of ``HierPlan(topo)`` and ``build_schedule``, both with
+    the inter-node algorithm left at its default, send the same steps."""
+    topo = Topology(n_nodes, m_gpus, 1)
+    p, n_elems = topo.world_size, 4
+    size = n_elems if collective == "all_gather" else n_elems * p
+    plan = HierPlan(topo)
+    op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
+    _, log = run_logged(p, lambda c: op(plan, c, np.ones(size, np.float32)))
+    schedule = build_schedule(cfg(topo), collective, "hierarchical", p * n_elems * 4)
+    sim_steps = [
+        sorted(map(tuple, messages.tolist())) for messages, _, repeat in schedule for _ in range(repeat)
+    ]
+    assert sim_steps == replay_schedule(log, collective, "hierarchical")
 
 
 # Criterion 7's cells, two hierarchical cells with longer inter phases, and
