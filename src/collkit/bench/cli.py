@@ -4,7 +4,7 @@ Subcommands:
   bench sweep      run a (collective x algorithm x ranks x size) sweep and
                    write per-trial records plus a summary CSV
   bench verify     run the oracle correctness suite on the in-process backend
-  bench calibrate  produce the selector calibration table from the simulator
+  bench calibrate  write the simulator's ring vs recursive crossover table
   bench heatmap    turn two record CSVs into a per-cell speedup CSV
 
 A key=value config file can seed any long option; explicit flags override
@@ -180,7 +180,7 @@ def make_parser() -> argparse.ArgumentParser:
     vp.set_defaults(run=cmd_verify)
     vp.add_argument("--seed", type=int)
 
-    cp = sub.add_parser("calibrate", parents=[shared], help="write a selector calibration table")
+    cp = sub.add_parser("calibrate", parents=[shared], help="write the ring vs recursive crossover table")
     cp.set_defaults(run=cmd_calibrate, parser=cp)
     cp.add_argument("--nodes", type=parse_int_list, help="e.g. 4,8,16,32,64,128")
     cp.add_argument("--out", help="table CSV path")

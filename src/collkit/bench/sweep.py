@@ -108,7 +108,7 @@ class SweepConfig:
             raise Unsupported(f"trials must be >= 1, got {self.trials}")
         recursive_inter = self.algorithm == "hierarchical" and self.inter == "recursive"
         for n_nodes, m_gpus in self.grid:
-            p = n_nodes * m_gpus
+            p = self.topo_for(n_nodes, m_gpus).world_size
             if self.algorithm == "recursive" and not collectives.is_power_of_two(p):
                 raise NonPowerOfTwo(f"recursive algorithm needs power-of-two p, got {p}")
             if recursive_inter and not collectives.is_power_of_two(n_nodes):

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .collectives import is_power_of_two
-from .errors import EmptyTable, NonPowerOfTwo, Unsupported
+from .errors import NonPowerOfTwo, Unsupported
 from .topology import Topology
 
 INTER_ALGORITHMS = ("ring", "recursive", "auto")
-SELECTOR_MODES = ("analytic", "table")
 
 
 @dataclass(frozen=True)
@@ -124,27 +123,13 @@ class CalibrationEntry:
 
 @dataclass
 class CalibrationTable:
-    """Simulator-measured ring vs recursive times keyed by (node count,
-    message-size bucket), consulted by table-mode selection."""
+    """Simulator-measured ring vs recursive times per (node count, size):
+    the crossover ``bench calibrate`` reports. Selection never reads it."""
 
     entries: list[CalibrationEntry] = field(default_factory=list)
 
     def add(self, entry: CalibrationEntry) -> None:
         self.entries.append(entry)
-
-    def lookup(self, n_nodes: int, m_bytes: float) -> str:
-        candidates = [e for e in self.entries if e.n_nodes == n_nodes]
-        if not candidates:
-            raise EmptyTable(
-                f"no calibration entries for N={n_nodes} "
-                f"({len(self.entries)} entries total)"
-            )
-        # Nearest size bucket in log space.
-        best = min(
-            candidates,
-            key=lambda e: abs(math.log(max(m_bytes, 1.0)) - math.log(max(e.m_bytes, 1))),
-        )
-        return best.winner
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -157,30 +142,9 @@ class CalibrationTable:
                     [e.n_nodes, e.m_bytes, repr(e.ring_seconds), repr(e.recursive_seconds), e.winner]
                 )
 
-    @classmethod
-    def load_csv(cls, path) -> "CalibrationTable":
-        table = cls()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                table.add(
-                    CalibrationEntry(
-                        n_nodes=int(row["N"]),
-                        m_bytes=int(row["m_bytes"]),
-                        ring_seconds=float(row["ring_seconds"]),
-                        recursive_seconds=float(row["recursive_seconds"]),
-                        winner=row["winner"],
-                    )
-                )
-        return table
-
 
 def resolve_inter_algorithm(
-    inter_alg: str,
-    n_nodes: int,
-    m_bytes: float,
-    params: CostParams | None = None,
-    mode: str = "analytic",
-    table: CalibrationTable | None = None,
+    inter_alg: str, n_nodes: int, m_bytes: float, params: CostParams | None = None
 ) -> str:
     """The inter-node algorithm ``inter_alg`` stands for: itself, unless it
     is "auto", which is ring below 2 nodes and otherwise the choice of
@@ -189,31 +153,19 @@ def resolve_inter_algorithm(
         return inter_alg
     if n_nodes < 2:
         return "ring"
-    return choose_inter_algorithm(n_nodes, m_bytes, params, mode=mode, table=table)
+    return choose_inter_algorithm(n_nodes, m_bytes, params)
 
 
 def choose_inter_algorithm(
-    n_nodes: int,
-    m_bytes: float,
-    params: CostParams | None = None,
-    mode: str = "analytic",
-    table: CalibrationTable | None = None,
+    n_nodes: int, m_bytes: float, params: CostParams | None = None
 ) -> str:
     """Pick "ring" or "recursive" for an inter-node collective over
-    ``n_nodes`` ranks and an ``m_bytes`` buffer.
-
-    Analytic mode compares :func:`t_ring` with :func:`t_rec`, preferring
-    ring on exact ties and whenever the node count is not a power of two.
-    Table mode looks the winner up in a simulator-produced calibration.
-    """
+    ``n_nodes`` ranks and an ``m_bytes`` buffer by comparing :func:`t_ring`
+    with :func:`t_rec`, preferring ring on exact ties and whenever the node
+    count is not a power of two. This is what ``auto`` means everywhere:
+    real runs, the simulator and :func:`t_hierarchical`."""
     if n_nodes < 2:
         raise Unsupported(f"selection needs at least 2 nodes, got {n_nodes}")
-    if mode not in SELECTOR_MODES:
-        raise Unsupported(f"selection mode must be one of {SELECTOR_MODES}, got {mode!r}")
-    if mode == "table":
-        if table is None or not table.entries:
-            raise EmptyTable("table mode requires a calibration table")
-        return table.lookup(n_nodes, m_bytes)
     if not is_power_of_two(n_nodes):
         return "ring"
     params = params or CostParams()

@@ -40,10 +40,6 @@ class NonPowerOfTwo(CollkitError):
     participant count that is not a power of two."""
 
 
-class EmptyTable(CollkitError):
-    """Table-mode algorithm selection was used without a usable calibration."""
-
-
 class Unsupported(CollkitError):
     """The requested collective/algorithm combination is not implemented,
     or an input (an option value, a config or host file line) is refused."""

@@ -28,7 +28,7 @@ from .collectives import (  # noqa: F401
     ring_all_gather,
     ring_reduce_scatter,
 )
-from .errors import EmptyTable, LengthMismatch, NonPowerOfTwo, NotDivisible, Unsupported
+from .errors import LengthMismatch, NonPowerOfTwo, NotDivisible, Unsupported
 from .topology import Topology, groups
 
 if TYPE_CHECKING:
@@ -46,24 +46,17 @@ class HierPlan:
 
     ``inter_alg`` is "ring" (the default, as in :func:`collkit.simnet.simulate`),
     "recursive", or "auto"; auto resolves per call through
-    :func:`collkit.costmodel.choose_inter_algorithm` using ``params``
-    (analytic mode) or ``table`` (table mode), which must then hold entries.
+    :func:`collkit.costmodel.choose_inter_algorithm` with ``params``, as
+    the simulator and :func:`collkit.costmodel.t_hierarchical` resolve it.
     """
 
     topo: Topology
     inter_alg: str = "ring"
     params: costmodel.CostParams = field(default_factory=costmodel.CostParams)
-    selector_mode: str = "analytic"
-    table: "costmodel.CalibrationTable | None" = None
 
     def __post_init__(self) -> None:
         if self.inter_alg not in costmodel.INTER_ALGORITHMS:
             raise Unsupported(f"inter_alg must be one of {costmodel.INTER_ALGORITHMS}")
-        if self.selector_mode not in costmodel.SELECTOR_MODES:
-            raise Unsupported(f"selector_mode must be one of {costmodel.SELECTOR_MODES}")
-        tableless = self.selector_mode == "table" and not (self.table and self.table.entries)
-        if self.inter_alg == "auto" and tableless:
-            raise EmptyTable("table mode requires a calibration table")
         if self.inter_alg == "recursive" and not is_power_of_two(self.topo.num_nodes):
             raise NonPowerOfTwo(
                 f"recursive inter-node algorithm requires a power-of-two node "
@@ -74,12 +67,7 @@ class HierPlan:
         """Concrete inter-node algorithm for a sub-collective of
         ``sub_m_bytes`` (the gathered output / reduced input size)."""
         return costmodel.resolve_inter_algorithm(
-            self.inter_alg,
-            self.topo.num_nodes,
-            sub_m_bytes,
-            self.params,
-            mode=self.selector_mode,
-            table=self.table,
+            self.inter_alg, self.topo.num_nodes, sub_m_bytes, self.params
         )
 
 

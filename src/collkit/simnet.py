@@ -11,8 +11,10 @@ against modeled resources:
   serialization to its source NIC (egress) and destination NIC (ingress),
   and, under the ring-of-nodes physical topology, to every directed
   node-to-node link on its shortest ring path (ascending on ties);
-* a reduction of ``b`` bytes charges ``gamma * b`` to the rank that folds
-  the received data in.
+* a reduction of ``b`` bytes charges ``gamma * b`` to the reduction unit
+  of the rank that folds the received data in: a resource of its own, so
+  a rank's reduction overlaps its send in the same step, as in a
+  pipelined GPU kernel, and the step costs the larger of the two.
 
 A step's makespan is the maximum busy time over all resources touched in
 that step; virtual time is the sum of step makespans. Intra-node traffic

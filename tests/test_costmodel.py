@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from collkit.costmodel import (
     t_rec,
     t_ring,
 )
-from collkit.errors import EmptyTable, NonPowerOfTwo, Unsupported
+from collkit.errors import NonPowerOfTwo, Unsupported
 from collkit.topology import Topology
 
 UNIT = CostParams(alpha_inter=1.0, beta_inter=1.0, alpha_intra=1.0, beta_intra=1.0)
@@ -154,8 +155,6 @@ def test_choose_falls_back_to_ring_for_non_power_of_two():
 def test_unknown_inter_algorithm_and_selection_mode_are_unsupported():
     with pytest.raises(Unsupported):
         t_hierarchical(Topology(4, 2, 1), 1 << 20, "tree", CostParams())
-    with pytest.raises(Unsupported):
-        choose_inter_algorithm(4, 1 << 20, CostParams(), mode="bogus")
 
 
 def test_choose_requires_two_nodes():
@@ -180,27 +179,26 @@ def test_choose_is_scale_invariant(c, n, m):
     assert choose_inter_algorithm(n, m, base) == choose_inter_algorithm(n, m, scaled)
 
 
-def test_table_mode_lookup_and_errors(tmp_path):
-    with pytest.raises(EmptyTable):
-        choose_inter_algorithm(4, 1 << 20, mode="table", table=None)
-    with pytest.raises(EmptyTable):
-        choose_inter_algorithm(4, 1 << 20, mode="table", table=CalibrationTable())
-
+def test_calibration_table_save_csv_header_and_round_trip(tmp_path):
     table = CalibrationTable()
     table.add(CalibrationEntry(4, 16 << 20, 1.0, 2.0, "ring"))
-    table.add(CalibrationEntry(4, 1 << 30, 1.0, 2.0, "ring"))
-    table.add(CalibrationEntry(64, 16 << 20, 3.0, 1.0, "recursive"))
-    assert choose_inter_algorithm(4, 20 << 20, mode="table", table=table) == "ring"
-    assert choose_inter_algorithm(64, 8 << 20, mode="table", table=table) == "recursive"
-    with pytest.raises(EmptyTable):
-        choose_inter_algorithm(8, 16 << 20, mode="table", table=table)
-
+    table.add(CalibrationEntry(64, 1 << 30, 0.1 + 0.2, 1 / 3, "recursive"))
     path = tmp_path / "table.csv"
     table.save_csv(path)
-    loaded = CalibrationTable.load_csv(path)
-    assert loaded.entries == table.entries
     header = path.read_text().splitlines()[0]
     assert header == "N,m_bytes,ring_seconds,recursive_seconds,winner"
+    with open(path, newline="") as fh:
+        loaded = [
+            CalibrationEntry(
+                int(row["N"]),
+                int(row["m_bytes"]),
+                float(row["ring_seconds"]),
+                float(row["recursive_seconds"]),
+                row["winner"],
+            )
+            for row in csv.DictReader(fh)
+        ]
+    assert loaded == table.entries
 
 
 def test_params_validation():

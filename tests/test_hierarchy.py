@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
 from collkit.collectives import ring_all_gather, ring_reduce_scatter
 
-from collkit.costmodel import CalibrationTable
-from collkit.errors import EmptyTable, LengthMismatch, NonPowerOfTwo, Unsupported
+from collkit.errors import LengthMismatch, NonPowerOfTwo, Unsupported
 from collkit.hierarchy import (
     HierPlan,
     _sub_communicators,
@@ -125,19 +124,6 @@ def test_plan_rejects_unknown_inter():
         HierPlan(topo=topo_for(2, 2), inter_alg="tree")
 
 
-@pytest.mark.parametrize("table", [None, CalibrationTable()], ids=["none", "empty"])
-def test_plan_refuses_table_mode_auto_without_entries(table):
-    with pytest.raises(EmptyTable):
-        HierPlan(topo=topo_for(4, 2), inter_alg="auto", selector_mode="table", table=table)
-    # A fixed inter-node algorithm never reads the table.
-    HierPlan(topo=topo_for(4, 2), inter_alg="ring", selector_mode="table", table=table)
-
-
-def test_plan_rejects_unknown_selector_mode():
-    with pytest.raises(Unsupported):
-        HierPlan(topo=topo_for(2, 2), inter_alg="auto", selector_mode="tabel")
-
-
 # --- collectives ----------------------------------------------------------
 
 
@@ -221,17 +207,6 @@ def test_inter_node_message_count_ring_vs_recursive():
     assert all(v == topo.num_nodes - 1 for v in ring_counts.values())
     rec_counts = _inter_message_counts(topo, "recursive")
     assert all(v == 2 for v in rec_counts.values())  # log2(4)
-
-
-def test_hier_table_mode_uses_calibration():
-    from collkit.costmodel import CalibrationEntry, CalibrationTable
-
-    table = CalibrationTable()
-    table.add(CalibrationEntry(4, 1 << 20, 1.0, 2.0, "ring"))
-    plan = HierPlan(
-        topo=topo_for(4, 2), inter_alg="auto", selector_mode="table", table=table
-    )
-    assert plan.resolve_inter(1 << 20) == "ring"
 
 
 # --- sub-communicators ------------------------------------------------------

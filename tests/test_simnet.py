@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from collkit import simnet
 from collkit.bench.sweep import calibrate_selector
-from collkit.costmodel import CostParams, t_rec, t_ring
+from collkit.costmodel import CostParams, resolve_inter_algorithm, t_hierarchical, t_rec, t_ring
 from collkit.errors import (
     CollkitError,
     IndexOutOfRange,
@@ -662,6 +662,19 @@ def test_reduce_profile_gap_identity_and_limits():
     assert gaps[-1] > 3.0
 
 
+def test_a_reduction_overlaps_the_send_of_its_step():
+    """A reduction is its rank's own resource: a one-step 1x2x1 ring
+    reduce-scatter costs the larger of the send and the reduction, not
+    their sum."""
+    config = cfg(Topology(1, 2, 1), reduce_profile="slow")
+    params, m = config.params, 2 << 20
+    b = m // 2
+    send = params.alpha_intra + params.beta_intra * b
+    reduce = params.gamma_reduce_slow * b
+    assert simulate(config, "reduce_scatter", "ring", m).seconds == max(send, reduce)
+    assert max(send, reduce) == reduce < send + reduce
+
+
 def test_crossover_direction_flips_on_ring_of_nodes():
     params = CostParams(alpha_inter=40e-6, beta_inter=0.004e-9)
 
@@ -794,6 +807,21 @@ def test_schedule_fidelity_against_instrumented_run(
     assert sim_steps == real_steps
 
 
+def _real_and_scheduled_steps(topo, collective, plan, *inter_alg):
+    """The steps a real run of ``plan`` logs and the steps ``build_schedule``
+    yields for the same run, given ``inter_alg`` or left at its default.
+    Each rank holds four float32 elements."""
+    p, n_elems = topo.world_size, 4
+    size = n_elems if collective == "all_gather" else n_elems * p
+    op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
+    _, log = run_logged(p, lambda c: op(plan, c, np.ones(size, np.float32)))
+    schedule = build_schedule(cfg(topo), collective, "hierarchical", p * n_elems * 4, *inter_alg)
+    sim_steps = [
+        sorted(map(tuple, messages.tolist())) for messages, _, repeat in schedule for _ in range(repeat)
+    ]
+    return replay_schedule(log, collective, "hierarchical"), sim_steps
+
+
 # Criterion 7's shapes, and 4x2x1, where analytic auto picks recursive.
 DEFAULT_INTER_SHAPES = sorted({(n, m) for *_, n, m, _ in FIDELITY_CELLS} | {(4, 2)})
 
@@ -804,16 +832,25 @@ def test_real_run_and_schedule_default_to_one_inter_algorithm(collective, n_node
     """A real run of ``HierPlan(topo)`` and ``build_schedule``, both with
     the inter-node algorithm left at its default, send the same steps."""
     topo = Topology(n_nodes, m_gpus, 1)
-    p, n_elems = topo.world_size, 4
-    size = n_elems if collective == "all_gather" else n_elems * p
-    plan = HierPlan(topo)
-    op = hier_all_gather if collective == "all_gather" else hier_reduce_scatter
-    _, log = run_logged(p, lambda c: op(plan, c, np.ones(size, np.float32)))
-    schedule = build_schedule(cfg(topo), collective, "hierarchical", p * n_elems * 4)
-    sim_steps = [
-        sorted(map(tuple, messages.tolist())) for messages, _, repeat in schedule for _ in range(repeat)
-    ]
-    assert sim_steps == replay_schedule(log, collective, "hierarchical")
+    real_steps, sim_steps = _real_and_scheduled_steps(topo, collective, HierPlan(topo))
+    assert sim_steps == real_steps
+
+
+@pytest.mark.parametrize(
+    "n_nodes,resolved", [(4, "recursive"), (3, "ring"), (2, "ring")]
+)
+@pytest.mark.parametrize("collective", ["all_gather", "reduce_scatter"])
+def test_real_run_schedule_and_model_resolve_auto_alike(collective, n_nodes, resolved):
+    """``auto`` resolves once, the same way, for a real run of
+    ``HierPlan(topo, "auto")``, ``build_schedule`` and ``t_hierarchical``."""
+    topo = Topology(n_nodes, 2, 1)
+    m_bytes, params = topo.world_size * 16, CostParams()
+    assert resolve_inter_algorithm("auto", n_nodes, m_bytes // 2, params) == resolved
+    real_steps, sim_steps = _real_and_scheduled_steps(topo, collective, HierPlan(topo, "auto"), "auto")
+    assert sim_steps == real_steps
+    assert t_hierarchical(topo, m_bytes, "auto", params) == t_hierarchical(
+        topo, m_bytes, resolved, params
+    )
 
 
 # Criterion 7's cells, two hierarchical cells with longer inter phases, and
