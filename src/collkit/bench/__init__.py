@@ -9,7 +9,7 @@ from .sweep import (
     read_records_csv,
     run_sweep,
     summarize,
-    write_heatmap_csv,
+    write_csv,
     write_records_csv,
 )
 
@@ -22,6 +22,6 @@ __all__ = [
     "read_records_csv",
     "run_sweep",
     "summarize",
-    "write_heatmap_csv",
+    "write_csv",
     "write_records_csv",
 ]

@@ -21,7 +21,6 @@ from pathlib import Path
 from .. import simnet
 from ..costmodel import INTER_ALGORITHMS, CostParams
 from ..errors import CollkitError, NonPowerOfTwo, Unsupported, VerificationFailed
-from ..transport.inprocess import run_ranks
 from ..transport.sockets import SocketEndpoint, parse_host_file
 from . import sweep as sweepmod
 
@@ -208,11 +207,14 @@ def _env_number(name: str, convert, default):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     backend = args.backend or "inprocess"
-    grid = args.grid
-    if grid is None and args.nodes is not None and args.gpus_per_node is not None:
-        grid = ((args.nodes, args.gpus_per_node),)
+    params = build_params(args)
+    grid, cell = args.grid, (args.nodes, args.gpus_per_node)
+    if grid is None and cell != (None, None):
+        if None in cell:
+            raise Unsupported("--nodes and --gpus-per-node go together (or give --grid)")
+        grid = (cell,)
     config = sweepmod.SweepConfig(
-        params=build_params(args),
+        params=params,
         **_given(
             collective=COLLECTIVE_NAMES.get(args.collective),
             algorithm=args.algo,
@@ -258,33 +260,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     records_path = out_dir / f"{stem}.csv"
     sweepmod.write_records_csv(records, records_path)
     summary_path = out_dir / f"{stem}_summary.csv"
-    with open(summary_path, "w") as fh:
-        fh.write("backend,collective,algorithm,inter,N,M,m_bytes,count,mean,std,min\n")
-        for s in summaries:
-            backend_, coll, algo, inter, n, m, size = s.cell
-            fh.write(
-                f"{backend_},{coll},{algo},{inter},{n},{m},{size},"
-                f"{s.count},{s.mean!r},{s.std!r},{s.min!r}\n"
-            )
+    sweepmod.write_csv(
+        summary_path,
+        ("backend", "collective", "algorithm", "inter", "N", "M", "m_bytes",
+         "count", "mean", "std", "min"),
+        ((*s.cell, s.count, s.mean, s.std, s.min) for s in summaries),
+    )
     print(f"wrote {records_path} and {summary_path} ({len(records)} records)")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check every (collective, algorithm) on small worlds against the
-    oracle, through the same cell path a verified sweep runs. Cells that a
-    sweep refuses as non-power-of-two are skipped."""
+    oracle, each cell as a one-trial verified in-process sweep. Cells that
+    a sweep refuses as non-power-of-two are skipped."""
     failures = 0
     grid = ((1, 1), (1, 4), (2, 2), (2, 4), (3, 2), (4, 2))
     for algorithm, collective in itertools.product(simnet.ALGORITHMS, simnet.COLLECTIVES):
         for n_nodes, m_gpus in grid:
-            p = n_nodes * m_gpus
             config = sweepmod.SweepConfig(
                 collective=collective,
                 algorithm=algorithm,
                 inter="ring" if algorithm != "hierarchical" else "recursive",
-                sizes=(128 * p,),  # 32 float32 elements per rank block
+                sizes=(128 * n_nodes * m_gpus,),  # 32 float32 elements per rank block
                 grid=((n_nodes, m_gpus),),
+                trials=1,
+                verify=True,
                 **_given(seed=args.seed),
             )
             try:
@@ -292,10 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             except NonPowerOfTwo:
                 continue
             label = f"{collective}/{algorithm} N={n_nodes} M={m_gpus}"
-            inputs = sweepmod.make_inputs(config, label, p, config.sizes[0], collective)
-            fn = sweepmod._collective_fn(config, config.topo_for(n_nodes, m_gpus), inputs)
             try:
-                sweepmod._check_outputs(collective, inputs, enumerate(run_ranks(p, fn)))
+                sweepmod.run_sweep(config, "inprocess")
                 print(f"PASS  {label}")
             except VerificationFailed:
                 print(f"FAIL  {label}")
@@ -324,13 +323,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     records_a = sweepmod.read_records_csv(args.records_a)
     records_b = sweepmod.read_records_csv(args.records_b)
     rows = sweepmod.emit_heatmap_data(records_a, records_b)
+    sweepmod.write_csv(args.out, ("p", "m_bytes", "speedup"), rows)
     if args.out:
-        sweepmod.write_heatmap_csv(rows, args.out)
         print(f"wrote {args.out} ({len(rows)} cells)")
-    else:
-        print("p,m_bytes,speedup")
-        for p, m, speedup in rows:
-            print(f"{p},{m},{speedup!r}")
     return 0
 
 

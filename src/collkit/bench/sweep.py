@@ -9,10 +9,12 @@ against the brute-force oracle before any trial is timed.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import math
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -53,20 +55,6 @@ class RunRecord:
     trial: int
     seconds: float
     verified: bool
-
-    CSV_FIELDS = (
-        "backend",
-        "collective",
-        "algorithm",
-        "inter",
-        "p",
-        "N",
-        "M",
-        "m_bytes",
-        "trial",
-        "seconds",
-        "verified",
-    )
 
     def cell_key(self) -> tuple:
         return (
@@ -331,16 +319,12 @@ def emit_heatmap_data(records_a, records_b) -> list[tuple[int, int, float]]:
         )
     if not means_a:
         raise GridMismatch("empty record sets")
+    zero = [cell for cell, mean in sorted(means_a.items()) if mean == 0]
+    if zero:
+        raise Unsupported(f"treatment mean is 0 s at (p, m_bytes) {zero}: no speedup over it")
     return [
         (p, m, means_b[(p, m)] / means_a[(p, m)]) for p, m in sorted(means_a)
     ]
-
-
-def write_heatmap_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("p,m_bytes,speedup\n")
-        for p, m, speedup in rows:
-            fh.write(f"{p},{m},{speedup!r}\n")
 
 
 def calibrate_selector(
@@ -355,11 +339,16 @@ def calibrate_selector(
     nodes with :func:`collkit.simnet.seconds` (``simulate``'s one pricing
     loop, ``simnet._price``, without NIC counters or trace) and record the
     winner per (node count, size). Ring wins ties and is the only
-    candidate for non-power-of-two node counts."""
+    candidate for non-power-of-two node counts. The whole grid is checked
+    before the first cell is priced."""
     params = params or CostParams()
+    topos = [Topology(n, 1, 1) for n in n_nodes_list]
+    for topo in topos:
+        for m in sizes:
+            simnet.check_bytes(m, topo.world_size)
     table = CalibrationTable()
-    for n in n_nodes_list:
-        topo = Topology(n, 1, 1)
+    for topo in topos:
+        n = topo.num_nodes
         config = simnet.SimConfig(
             topo=topo, params=params, phys_topology=phys_topology
         )
@@ -382,36 +371,37 @@ def calibrate_selector(
     return table
 
 
-def write_records_csv(records, path) -> None:
+# Each RunRecord field's CSV header and parser, in field order.
+RECORD_COLUMNS = (
+    ("backend", str), ("collective", str), ("algorithm", str), ("inter", str),
+    ("p", int), ("N", int), ("M", int), ("m_bytes", int), ("trial", int),
+    ("seconds", float), ("verified", lambda text: bool(int(text))),
+)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as comma-separated lines to ``path``,
+    or to stdout when ``path`` is None. Floats are written with ``str``,
+    which equals ``repr`` and so reads back exactly; booleans as 0/1."""
+    text = "".join(
+        ",".join(str(int(v) if isinstance(v, bool) else v) for v in line) + "\n"
+        for line in (header, *rows)
+    )
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        fh.write(",".join(RunRecord.CSV_FIELDS) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.backend},{r.collective},{r.algorithm},{r.inter},{r.p},"
-                f"{r.n_nodes},{r.m_gpus},{r.m_bytes},{r.trial},{r.seconds!r},"
-                f"{int(r.verified)}\n"
-            )
+        fh.write(text)
+
+
+def write_records_csv(records, path) -> None:
+    header = [name for name, _ in RECORD_COLUMNS]
+    write_csv(path, header, map(dataclasses.astuple, records))
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    import csv
-
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    backend=row["backend"],
-                    collective=row["collective"],
-                    algorithm=row["algorithm"],
-                    inter=row["inter"],
-                    p=int(row["p"]),
-                    n_nodes=int(row["N"]),
-                    m_gpus=int(row["M"]),
-                    m_bytes=int(row["m_bytes"]),
-                    trial=int(row["trial"]),
-                    seconds=float(row["seconds"]),
-                    verified=bool(int(row["verified"])),
-                )
-            )
-    return records
+        return [
+            RunRecord(*(parse(row[name]) for name, parse in RECORD_COLUMNS))
+            for row in csv.DictReader(fh)
+        ]

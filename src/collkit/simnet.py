@@ -228,15 +228,10 @@ class StepCoster:
             for nic, n in enumerate(amounts):
                 row[nic] += n
 
-    def charge_step(
-        self,
-        messages,
-        reductions=(),
-        record: bool = False,
-    ) -> tuple[float, list[dict] | None]:
+    def charge_step(self, messages, reductions=()) -> float:
         """Charge one step of ``(src, dst, nbytes)`` messages and
         ``(rank, nbytes)`` reductions, given as sequences of tuples or as
-        ``(k, 3)`` and ``(k, 2)`` integer arrays; returns (makespan, records).
+        ``(k, 3)`` and ``(k, 2)`` integer arrays; returns its makespan.
 
         Each resource's busy time is a ``np.bincount`` over the step's
         messages, which adds their charges one by one in message order."""
@@ -270,10 +265,7 @@ class StepCoster:
             owner, link = _link_ids(topo.num_nodes, i_src_node, i_dst_node)
             busy.append(np.bincount(link, wire[owner]))
         self._count(nic_src, nic_dst, i_bytes)
-        makespan = max((float(b.max()) for b in busy if b.size), default=0.0)
-        if not record:
-            return makespan, None
-        return makespan, _recorded(topo, self.config.nic_policy, msgs)
+        return max((float(b.max()) for b in busy if b.size), default=0.0)
 
 
 def _nic_slots(topo: Topology, nic_policy: str, src: np.ndarray, dst: np.ndarray):
@@ -283,21 +275,6 @@ def _nic_slots(topo: Topology, nic_policy: str, src: np.ndarray, dst: np.ndarray
         return np.zeros_like(src), np.full_like(dst, topo.nics_per_node - 1)
     m, per_nic = topo.gpus_per_node, topo.gpus_per_nic
     return src % m // per_nic, dst % m // per_nic
-
-
-def _recorded(topo: Topology, nic_policy: str, msgs: np.ndarray) -> list[dict]:
-    """One record per message of a step, in message order; an intra-node
-    message has no NICs."""
-    src, dst, nbytes = msgs.T
-    inter = src // topo.gpus_per_node != dst // topo.gpus_per_node
-    nic_src, nic_dst = _nic_slots(topo, nic_policy, src, dst)
-    return [
-        {"src": s, "dst": d, "bytes": b, "nic_src": ns if x else None, "nic_dst": nd if x else None}
-        for s, d, b, ns, nd, x in zip(
-            src.tolist(), dst.tolist(), nbytes.tolist(),
-            nic_src.tolist(), nic_dst.tolist(), inter.tolist(),
-        )
-    ]
 
 
 def _check_step(topo: Topology, msgs: np.ndarray, reds: np.ndarray) -> None:
@@ -555,6 +532,15 @@ def _plan(
     )
 
 
+def check_bytes(m_bytes: int, p: int) -> None:
+    """Refuse a run of ``m_bytes`` that does not split evenly over ``p``
+    ranks, then one of a negative size."""
+    if m_bytes % p != 0:
+        raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
+    if m_bytes < 0:
+        raise LengthMismatch(f"negative byte count {m_bytes}")
+
+
 def _plan_of(config: SimConfig, collective: str, algorithm: str, m_bytes: int, inter_alg: str):
     """The cached plan of one collective run of ``m_bytes``, after its
     checks: the names, then the size, then the shape (in :func:`_plan`).
@@ -564,11 +550,7 @@ def _plan_of(config: SimConfig, collective: str, algorithm: str, m_bytes: int, i
     if algorithm not in ALGORITHMS:
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     topo = config.topo
-    p = topo.world_size
-    if m_bytes % p != 0:
-        raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
-    if m_bytes < 0:
-        raise LengthMismatch(f"negative byte count {m_bytes}")
+    check_bytes(m_bytes, topo.world_size)
     inter = None
     if algorithm == "hierarchical":
         inter = resolve_inter_algorithm(

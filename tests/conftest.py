@@ -132,7 +132,7 @@ def price_log(config, log_records, collective, algorithm):
     seconds = 0.0
     for step in steps:
         reductions = [(dst, nbytes) for _, dst, nbytes in step] if reduces else ()
-        seconds += coster.charge_step(step, reductions)[0]
+        seconds += coster.charge_step(step, reductions)
     return seconds, coster.counters, len(steps)
 
 

@@ -21,6 +21,7 @@ from collkit.errors import (
     EmptyCell,
     GridMismatch,
     InvalidTopology,
+    LengthMismatch,
     NonPowerOfTwo,
     NotDivisible,
     Unsupported,
@@ -237,6 +238,12 @@ def test_heatmap_grid_mismatch():
         emit_heatmap_data(a, b)
 
 
+def test_heatmap_refuses_a_zero_second_treatment_cell():
+    a = [record(0.0, p=2, m=64), record(1.0, p=4, m=64)]
+    with pytest.raises(Unsupported, match=r"\(p, m_bytes\) \[\(2, 64\)\]"):
+        emit_heatmap_data(a, a)
+
+
 def test_simulated_speedup_grows_with_rank_count():
     # Flat ring vs hierarchical-recursive at a fixed small size: the
     # hierarchical advantage must grow monotonically along the p axis.
@@ -263,6 +270,28 @@ def test_calibrate_single_cell_winner():
     table = calibrate_selector([64], [1 << 20], params)
     assert len(table.entries) == 1
     assert table.entries[0].winner == "recursive"
+
+
+@pytest.mark.parametrize(
+    "nodes,sizes,error",
+    [
+        ((2, 3), (16 << 20,), NotDivisible),
+        ((4, 0), (16 << 20,), InvalidTopology),
+        ((2,), (16 << 20, -4), LengthMismatch),
+    ],
+)
+def test_calibrate_checks_its_grid_before_pricing(monkeypatch, nodes, sizes, error):
+    calls = []
+    seconds = simnet.seconds
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return seconds(*args, **kw)
+
+    monkeypatch.setattr(simnet, "seconds", counted)
+    with pytest.raises(error):
+        calibrate_selector(nodes, sizes)
+    assert calls == []
 
 
 def test_calibrate_empty_grid_yields_unusable_table():

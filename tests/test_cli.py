@@ -217,6 +217,81 @@ def test_calibrate_and_heatmap_commands(tmp_path):
     assert len(lines) == 3
 
 
+def test_sim_sweep_writes_exact_records_and_summary(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sweep", "--backend", "sim", "--algo", "ring", "--sizes", "1M", "--grid", "2x2,4x2"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (out / "sim_all_gather_ring.csv").read_text() == (
+        "backend,collective,algorithm,inter,p,N,M,m_bytes,trial,seconds,verified\n"
+        "sim,all_gather,ring,ring,4,2,2,1048576,0,6.145728e-05,0\n"
+        "sim,all_gather,ring,ring,8,4,2,1048576,0,0.00010670016000000003,0\n"
+    )
+    assert (out / "sim_all_gather_ring_summary.csv").read_text() == (
+        "backend,collective,algorithm,inter,N,M,m_bytes,count,mean,std,min\n"
+        "sim,all_gather,ring,ring,2,2,1048576,1,6.145728e-05,0.0,6.145728e-05\n"
+        "sim,all_gather,ring,ring,4,2,1048576,1,0.00010670016000000003,0.0,"
+        "0.00010670016000000003\n"
+    )
+
+
+def test_heatmap_prints_what_out_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    base = ["sweep", "--backend", "sim", "--sizes", "1M,4M", "--grid", "2x2,4x2", "--out", str(out)]
+    assert cli.main(base + ["--algo", "ring"]) == 0
+    assert cli.main(base + ["--algo", "hierarchical"]) == 0
+    records = [
+        str(out / "sim_all_gather_hierarchical_ring.csv"), str(out / "sim_all_gather_ring.csv")
+    ]
+    heat_path = tmp_path / "heat.csv"
+    assert cli.main(["heatmap", *records, "--out", str(heat_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["heatmap", *records]) == 0
+    printed = capsys.readouterr().out
+    assert printed == heat_path.read_text()
+    assert printed.startswith("p,m_bytes,speedup\n") and printed.count("\n") == 5
+
+
+def test_heatmap_of_a_zero_second_cell_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--backend", "sim", "--sizes", "16M", "--grid", "1x1,1x2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    records = str(out / "sim_all_gather_ring.csv")
+    heat_path = tmp_path / "heat.csv"
+    capsys.readouterr()
+    assert cli.main(["heatmap", records, records, "--out", str(heat_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: treatment mean is 0 s at (p, m_bytes) [(1, 16777216)]")
+    assert not heat_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config_text",
+    [
+        (["--nodes", "4"], ""),
+        (["--gpus-per-node", "4"], ""),
+        ([], "nodes = 4\n"),
+        ([], "gpus_per_node = 4\n"),
+    ],
+)
+def test_half_a_single_cell_topology_is_a_clean_error(tmp_path, capsys, flags, config_text):
+    config = tmp_path / "bench.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    argv = ["sweep", "--backend", "sim", "--sizes", "16M", "--config", str(config), *flags]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --nodes and --gpus-per-node go together")
+    assert not out.exists()
+
+
+def test_verify_does_not_skip_a_refusal_raised_inside_a_cell(monkeypatch, capsys):
+    def refuse(config, backend):
+        raise cli.NonPowerOfTwo("raised while the cell ran")
+
+    monkeypatch.setattr(cli.sweepmod, "run_sweep", refuse)
+    assert cli.main(["verify"]) == 1
+    assert capsys.readouterr().err == "error: raised while the cell ran\n"
+
+
 def test_error_reporting_exit_code(tmp_path):
     rc = cli.main(
         [

@@ -54,7 +54,7 @@ def test_single_message_charge():
     config = cfg(Topology(2, 1, 1))
     coster = StepCoster(config)
     m = 1 << 20
-    makespan, _ = coster.charge_step([(0, 1, m)])
+    makespan = coster.charge_step([(0, 1, m)])
     params = config.params
     assert makespan == params.alpha_inter + params.beta_inter * m
 
@@ -65,12 +65,10 @@ def scalar_charge_step(config, counters, messages, reductions):
     topo, params = config.topo, config.params
     gamma = params.gamma(config.reduce_profile)
     busy = defaultdict(float)
-    recorded = []
     for src, dst, nbytes in messages:
         src_node, dst_node = topo.node_of(src), topo.node_of(dst)
         if src_node == dst_node:
             busy[("rank_net", src)] += params.alpha_intra + params.beta_intra * nbytes
-            nic_src = nic_dst = None
         else:
             busy[("rank_net", src)] += params.alpha_inter + params.beta_inter * nbytes
             if config.nic_policy == "single_nic":
@@ -89,12 +87,9 @@ def scalar_charge_step(config, counters, messages, reductions):
             counters.non_posted_pkts[nic_src] += pkts
             counters.bytes_in[nic_dst] += nbytes
             counters.posted_pkts[nic_dst] += pkts
-        recorded.append(
-            {"src": src, "dst": dst, "bytes": nbytes, "nic_src": nic_src, "nic_dst": nic_dst}
-        )
     for rank, nbytes in reductions:
         busy[("rank_reduce", rank)] += gamma * nbytes
-    return max(busy.values(), default=0.0), recorded
+    return max(busy.values(), default=0.0)
 
 
 @st.composite
@@ -148,7 +143,7 @@ def test_charge_step_matches_scalar_oracle(case):
         if as_arrays:
             messages = np.array(messages, dtype=np.int64).reshape(-1, 3)
             reductions = np.array(reductions, dtype=np.int64).reshape(-1, 2)
-        assert coster.charge_step(messages, reductions, record=True) == want
+        assert coster.charge_step(messages, reductions) == want
         assert coster.counters == counters
 
 
@@ -199,7 +194,7 @@ def charge_every_step(config, collective, algorithm, m_bytes, inter_alg):
     schedule = build_schedule(config, collective, algorithm, m_bytes, inter_alg)
     for messages, reductions, repeat in schedule:
         for _ in range(repeat):
-            makespan, _ = coster.charge_step(messages, reductions)
+            makespan = coster.charge_step(messages, reductions)
             total += makespan
             steps.append(
                 SimStep(
@@ -413,7 +408,7 @@ def test_census_prices_a_run_like_charging_each_step(case):
     topo, params = config.topo, config.params
     coster = StepCoster(config)
     for _ in range(count):
-        want, _ = coster.charge_step(sized_msgs, sized_reds)
+        want = coster.charge_step(sized_msgs, sized_reds)
     run = simnet._run_census(topo, config.nic_policy, config.phys_topology, msgs, reds, count)
     phase = simnet._planned_phase("world", "ring", 1, (run,), topo.nics_per_node)
     gamma = params.gamma(config.reduce_profile)
@@ -477,7 +472,7 @@ def test_charge_step_refuses_bad_ranks_and_sizes():
             coster.charge_step(messages, reductions)
     with pytest.raises(LengthMismatch):
         coster.charge_step([(0, 2, -1)])
-    assert coster.charge_step([]) == (0.0, None)
+    assert coster.charge_step([]) == 0.0
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 64])
