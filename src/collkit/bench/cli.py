@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             apply_config_file(args, args.parser)
         return args.run(args)
-    except CollkitError as exc:
+    except (CollkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

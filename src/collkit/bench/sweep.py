@@ -400,8 +400,11 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    """The records :func:`write_records_csv` wrote to ``path``; refuses a
+    file whose header lacks any of :data:`RECORD_COLUMNS`."""
     with open(path, newline="") as fh:
-        return [
-            RunRecord(*(parse(row[name]) for name, parse in RECORD_COLUMNS))
-            for row in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        missing = [name for name, _ in RECORD_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise Unsupported(f"{path} is not a records file: no column {', '.join(missing)}")
+        return [RunRecord(*(parse(row[name]) for name, parse in RECORD_COLUMNS)) for row in reader]

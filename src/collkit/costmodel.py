@@ -48,8 +48,8 @@ class CostParams:
             "gamma_reduce_fast",
             "gamma_reduce_slow",
         ):
-            if getattr(self, name) < 0:
-                raise Unsupported(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # False for NaN too
+                raise Unsupported(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.packet_bytes < 1:
             raise Unsupported("packet_bytes must be >= 1")
 

@@ -21,10 +21,9 @@ that step; virtual time is the sum of step makespans. Intra-node traffic
 never touches NICs or links. NIC byte/packet counters accumulate per NIC
 index (summed over nodes); packets are ``ceil(bytes / packet_bytes)``.
 
-:class:`StepCoster` prices any step of ``(src, dst, bytes)`` messages as
-numpy arrays: each resource's busy time is an ``np.bincount``, which adds
-the charges one by one in message order, so its seconds are bit-identical
-to a message-by-message loop.
+:class:`StepCoster` prices any step of ``(src, dst, bytes)`` messages
+literally, as the model above reads: one message at a time, adding each
+charge to its resource's busy time, from 0.0 and in message order.
 
 :func:`simulate` prices the runs of identical steps that a schedule is
 made of (a ring phase is one run of p-1 steps, a recursive phase log2(p)
@@ -41,7 +40,7 @@ builder checks the first two:
    once, so its busy time is ``0.0 + c``, which is ``c``;
 2. every message of a run carries ``width * block`` bytes, so a NIC or
    link charged k times holds the sum of k equal charges ``w`` added in
-   sequence from ``0.0``, as ``np.bincount`` adds them;
+   sequence from ``0.0``, as :class:`StepCoster` adds them;
 3. adding ``w >= 0`` never decreases a float, so the resource charged
    most often holds the largest of those sums.
 
@@ -68,9 +67,10 @@ A run's makespan is added once per step, in step order (:func:`_fold`:
 float adds are those of a per-step loop. :func:`simulate`'s trace keeps
 one record per run; ``trace.steps`` builds the per-step :class:`SimStep`
 list on first read. So seconds, per-step traces and counters are ``==``
-to charging every step of :func:`build_schedule` through
-:class:`StepCoster`, and :func:`seconds`, for callers that read only
-seconds, costs O(runs), with no counters or trace. The trace holds no
+to charging every step of :func:`build_schedule`, message by message,
+through :class:`StepCoster`; the tests check that they are. And
+:func:`seconds`, for callers that read only seconds, costs O(runs), with
+no counters or trace. The trace holds no
 messages: :func:`build_schedule` walks the same plan and yields them.
 """
 from __future__ import annotations
@@ -78,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -212,107 +213,60 @@ class StepCoster:
         self.gamma = config.params.gamma(config.reduce_profile)
         self.counters = NicCounters(nics=self.topo.nics_per_node)
 
-    def _count(self, nic_src: np.ndarray, nic_dst: np.ndarray, nbytes: np.ndarray) -> None:
-        """Adds a step's inter-node bytes and packets to the NIC counters,
-        in exact integer arithmetic: one ``np.add.at`` into a (4, K) array
-        whose rows are bytes out, packets out, bytes in and packets in,
-        indexed flat."""
-        c = self.counters
-        k = c.nics
-        pkts = -(-nbytes // self.params.packet_bytes)
-        step = np.zeros((4, k), dtype=np.int64)
-        nics = np.concatenate((nic_src, nic_src + k, nic_dst + 2 * k, nic_dst + 3 * k))
-        np.add.at(step.reshape(-1), nics, np.concatenate((nbytes, pkts, nbytes, pkts)))
-        totals = (c.bytes_out, c.non_posted_pkts, c.bytes_in, c.posted_pkts)
-        for row, amounts in zip(totals, step.tolist()):
-            for nic, n in enumerate(amounts):
-                row[nic] += n
-
     def charge_step(self, messages, reductions=()) -> float:
         """Charge one step of ``(src, dst, nbytes)`` messages and
         ``(rank, nbytes)`` reductions, given as sequences of tuples or as
         ``(k, 3)`` and ``(k, 2)`` integer arrays; returns its makespan.
 
-        Each resource's busy time is a ``np.bincount`` over the step's
-        messages, which adds their charges one by one in message order."""
-        topo = self.topo
-        params = self.params
-        msgs = np.asarray(messages, dtype=np.int64).reshape(-1, 3)
-        reds = np.asarray(reductions, dtype=np.int64).reshape(-1, 2)
-        src, dst, nbytes = msgs.T
-        _check_step(topo, msgs, reds)
-        node_size, nics = topo.gpus_per_node, topo.nics_per_node
-        src_node, dst_node = src // node_size, dst // node_size
-        inter = src_node != dst_node
-        busy = [
-            np.bincount(
-                src,
-                np.where(
-                    inter,
-                    params.alpha_inter + params.beta_inter * nbytes,
-                    params.alpha_intra + params.beta_intra * nbytes,
-                ),
-            ),
-            np.bincount(reds[:, 0], self.gamma * reds[:, 1]),
-        ]
-        idx = np.flatnonzero(inter)
-        i_src_node, i_dst_node, i_bytes = src_node[idx], dst_node[idx], nbytes[idx]
-        nic_src, nic_dst = _nic_slots(topo, self.config.nic_policy, src[idx], dst[idx])
-        wire = params.beta_inter * i_bytes
-        busy.append(np.bincount(i_src_node * nics + nic_src, wire))
-        busy.append(np.bincount(i_dst_node * nics + nic_dst, wire))
-        if self.config.phys_topology == "ring_of_nodes":
-            owner, link = _link_ids(topo.num_nodes, i_src_node, i_dst_node)
-            busy.append(np.bincount(link, wire[owner]))
-        self._count(nic_src, nic_dst, i_bytes)
-        return max((float(b.max()) for b in busy if b.size), default=0.0)
+        Each charge is added, message by message, to the busy time of the
+        resource it occupies, from 0.0; the makespan is the largest."""
+        topo, params, config, c = self.topo, self.params, self.config, self.counters
+        messages, reductions = _rows(topo, messages, 3), _rows(topo, reductions, 2)
+        busy = defaultdict(float)
+        for src, dst, nbytes in messages:
+            src_node, dst_node = topo.node_of(src), topo.node_of(dst)
+            if src_node == dst_node:
+                busy["rank", src] += params.alpha_intra + params.beta_intra * nbytes
+                continue
+            busy["rank", src] += params.alpha_inter + params.beta_inter * nbytes
+            nic_src, nic_dst = _nic_slots(topo, config.nic_policy, src, dst)
+            wire = params.beta_inter * nbytes
+            busy["nic_out", src_node, nic_src] += wire
+            busy["nic_in", dst_node, nic_dst] += wire
+            if config.phys_topology == "ring_of_nodes":
+                for hop in ring_hops(topo.num_nodes, src_node, dst_node):
+                    busy["link", hop] += wire
+            pkts = -(-nbytes // params.packet_bytes)
+            c.bytes_out[nic_src] += nbytes
+            c.non_posted_pkts[nic_src] += pkts
+            c.bytes_in[nic_dst] += nbytes
+            c.posted_pkts[nic_dst] += pkts
+        for rank, nbytes in reductions:
+            busy["reduce", rank] += self.gamma * nbytes
+        return max(busy.values(), default=0.0)
 
 
-def _nic_slots(topo: Topology, nic_policy: str, src: np.ndarray, dst: np.ndarray):
-    """The NIC index each message leaves through and arrives at."""
+def _rows(topo: Topology, rows, width: int) -> list[list[int]]:
+    """``rows`` as lists of ``width`` ints, after one bounds check: every
+    rank (all columns but the last) in range, then no negative size."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, width).tolist()
+    for row in rows:
+        for rank in row[:-1]:
+            topo.check_rank(rank)
+    smallest = min((row[-1] for row in rows), default=0)
+    if smallest < 0:
+        raise LengthMismatch(f"negative byte count {smallest}")
+    return rows
+
+
+def _nic_slots(topo: Topology, nic_policy: str, src, dst):
+    """The NIC index a message leaves through and arrives at, for one
+    message or for arrays of them."""
     if nic_policy == "single_nic":
         # All writes leave through NIC 0, all reads arrive at NIC K-1.
-        return np.zeros_like(src), np.full_like(dst, topo.nics_per_node - 1)
+        return src * 0, dst * 0 + topo.nics_per_node - 1
     m, per_nic = topo.gpus_per_node, topo.gpus_per_nic
     return src % m // per_nic, dst % m // per_nic
-
-
-def _check_step(topo: Topology, msgs: np.ndarray, reds: np.ndarray) -> None:
-    """One bounds check per step: every rank in range, no negative size.
-    The last column of each array is a size, the others are ranks."""
-    world = topo.world_size
-    for rows in (msgs, reds):
-        if not rows.size:
-            continue
-        ranks = rows[:, :-1]
-        if rows.min() < 0 or max(column.max() for column in ranks.T) >= world:
-            bad = ranks[(ranks < 0) | (ranks >= world)]
-            if bad.size:
-                topo.check_rank(int(bad[0]))
-            raise LengthMismatch(f"negative byte count {int(rows[:, -1].min())}")
-
-
-def ring_links(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
-    """:func:`ring_hops` of every (src_node[i], dst_node[i]) at once, as
-    arrays ``(owner, a, b)``: hop j runs over link ``a[j] -> b[j]`` for
-    message ``owner[j]``, message by message and in path order."""
-    up = (dst_node - src_node) % n_nodes
-    down = (src_node - dst_node) % n_nodes
-    ascending = up <= down
-    length = np.where(ascending, up, down)
-    owner = np.repeat(np.arange(len(length)), length)
-    first = np.cumsum(length) - length
-    offset = np.arange(len(owner)) - first[owner]
-    direction = np.where(ascending, 1, -1)[owner]
-    a = (src_node[owner] + direction * offset) % n_nodes
-    return owner, a, (a + direction) % n_nodes
-
-
-def _link_ids(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray):
-    """:func:`ring_links` as ``(owner, link)``: link a -> a+1 has id 2a,
-    link a -> a-1 id 2a+1."""
-    owner, a, b = ring_links(n_nodes, src_node, dst_node)
-    return owner, 2 * a + (b != (a + 1) % n_nodes)
 
 
 # --- schedules ---------------------------------------------------------------
@@ -385,12 +339,12 @@ class RunCensus(NamedTuple):
 
 
 def _link_loads(n_nodes: int, src_node: np.ndarray, dst_node: np.ndarray) -> np.ndarray:
-    """Messages per directed ring link, indexed like :func:`_link_ids`,
-    in O(messages + nodes): each shortest path is a range of consecutive
-    links of one direction, so one difference array per direction marks
-    +1 at its first link and -1 past its last. The links, numbered by the
-    node they leave, are laid out twice so that no range wraps, and the
-    two halves are folded after the running sum."""
+    """Messages per directed ring link (link a -> a+1 at 2a, a -> a-1 at
+    2a+1), in O(messages + nodes): each shortest path is a range of
+    consecutive links of one direction, so one difference array per
+    direction marks +1 at its first link and -1 past its last. The links,
+    numbered by the node they leave, are laid out twice so that no range
+    wraps, and the two halves are folded after the running sum."""
     up = (dst_node - src_node) % n_nodes
     down = (src_node - dst_node) % n_nodes
     ascending = up <= down
@@ -583,8 +537,8 @@ def _fold(total: float, w: float, k: int) -> float:
 def _makespan(run: RunCensus, busiest: int, b: int, params: CostParams, gamma: float) -> float:
     """The makespan :meth:`StepCoster.charge_step` gives one step of
     ``run`` with ``b`` bytes per message: the busiest NIC or link, charged
-    ``busiest`` times, adds its charges one by one, the way
-    ``np.bincount`` does."""
+    ``busiest`` times, adds its charges one by one from 0.0, as
+    :class:`StepCoster` does."""
     wire = params.beta_inter * b
     busy = _fold(0.0, wire, busiest)
     # Each ``t > busy`` keeps the first of equals, as ``max`` does.

@@ -123,8 +123,8 @@ def price_log(config, log_records, collective, algorithm):
     Steps are charged in sorted message order, not the simulator's group
     order, and the log's own order follows thread timing. The seconds still
     match bit for bit: within one step every message carries the same
-    ``width * block`` bytes, so each resource's ``bincount`` adds equal
-    charges, and their sum does not depend on the order.
+    ``width * block`` bytes, so each resource's busy time is a sum of
+    equal charges, which does not depend on the order.
     """
     coster = StepCoster(config)
     steps = replay_schedule(log_records, collective, algorithm)

@@ -264,6 +264,34 @@ def test_heatmap_of_a_zero_second_cell_is_a_clean_error(tmp_path, capsys):
     assert not heat_path.exists()
 
 
+def test_nan_cost_parameter_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--backend", "sim", "--alpha-inter", "nan", "--out", str(out)]
+    assert cli.main(argv + ["--sizes", "1M", "--grid", "2x2"]) == 1
+    assert capsys.readouterr().err.startswith("error: alpha_inter must be >= 0 and finite")
+    assert not out.exists()
+
+
+def test_heatmap_of_a_summary_file_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--backend", "sim", "--sizes", "1M", "--grid", "2x2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = str(out / "sim_all_gather_ring_summary.csv")
+    capsys.readouterr()
+    assert cli.main(["heatmap", summary, summary]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {summary} is not a records file: no column p, trial, seconds, verified\n"
+    )
+    assert captured.out == ""
+
+
+def test_heatmap_of_a_missing_file_is_a_clean_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main(["heatmap", missing, missing]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
 @pytest.mark.parametrize(
     "flags,config_text",
     [

@@ -209,3 +209,21 @@ def test_params_validation():
     params = CostParams()
     assert params.gamma("fast") == params.gamma_reduce_fast
     assert params.gamma("slow") == params.gamma_reduce_slow
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "alpha_inter",
+        "beta_inter",
+        "alpha_intra",
+        "beta_intra",
+        "gamma_reduce_fast",
+        "gamma_reduce_slow",
+    ],
+)
+def test_params_refuse_values_that_are_not_finite(name, value):
+    """A NaN or infinite cost would price to NaN, or drop out of a max."""
+    with pytest.raises(Unsupported, match=f"{name} must be >= 0 and finite"):
+        CostParams(**{name: value})

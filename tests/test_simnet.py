@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from collkit.simnet import (
     StepCoster,
     build_schedule,
     ring_hops,
-    ring_links,
     simulate,
 )
 from collkit.topology import Topology
@@ -57,39 +55,6 @@ def test_single_message_charge():
     makespan = coster.charge_step([(0, 1, m)])
     params = config.params
     assert makespan == params.alpha_inter + params.beta_inter * m
-
-
-def scalar_charge_step(config, counters, messages, reductions):
-    """Reference pricer: one message at a time into a dict of busy times,
-    kept as an independent oracle for ``StepCoster.charge_step``."""
-    topo, params = config.topo, config.params
-    gamma = params.gamma(config.reduce_profile)
-    busy = defaultdict(float)
-    for src, dst, nbytes in messages:
-        src_node, dst_node = topo.node_of(src), topo.node_of(dst)
-        if src_node == dst_node:
-            busy[("rank_net", src)] += params.alpha_intra + params.beta_intra * nbytes
-        else:
-            busy[("rank_net", src)] += params.alpha_inter + params.beta_inter * nbytes
-            if config.nic_policy == "single_nic":
-                nic_src, nic_dst = 0, topo.nics_per_node - 1
-            else:
-                nic_src = topo.local_of(src) // topo.gpus_per_nic
-                nic_dst = topo.local_of(dst) // topo.gpus_per_nic
-            wire = params.beta_inter * nbytes
-            busy[("nic_out", src_node, nic_src)] += wire
-            busy[("nic_in", dst_node, nic_dst)] += wire
-            if config.phys_topology == "ring_of_nodes":
-                for a, b in ring_hops(topo.num_nodes, src_node, dst_node):
-                    busy[("link", a, b)] += wire
-            pkts = math.ceil(nbytes / params.packet_bytes) if nbytes else 0
-            counters.bytes_out[nic_src] += nbytes
-            counters.non_posted_pkts[nic_src] += pkts
-            counters.bytes_in[nic_dst] += nbytes
-            counters.posted_pkts[nic_dst] += pkts
-    for rank, nbytes in reductions:
-        busy[("rank_reduce", rank)] += gamma * nbytes
-    return max(busy.values(), default=0.0)
 
 
 @st.composite
@@ -129,22 +94,62 @@ def priced_steps(draw):
         dst = rng.integers(0, topo.world_size, n_msgs).tolist()
         reds = rng.integers(0, topo.world_size, n_reds).tolist()
         steps.append((list(zip(src, dst, sizes(n_msgs))), list(zip(reds, sizes(n_reds)))))
-    return config, steps, draw(st.booleans())
+    return config, steps
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=priced_steps())
-def test_charge_step_matches_scalar_oracle(case):
-    config, steps, as_arrays = case
-    coster = StepCoster(config)
-    counters = NicCounters(nics=config.topo.nics_per_node)
+def test_charge_step_prices_lists_and_arrays_alike(case):
+    config, steps = case
+    from_lists, from_arrays = StepCoster(config), StepCoster(config)
     for messages, reductions in steps:
-        want = scalar_charge_step(config, counters, messages, reductions)
-        if as_arrays:
-            messages = np.array(messages, dtype=np.int64).reshape(-1, 3)
-            reductions = np.array(reductions, dtype=np.int64).reshape(-1, 2)
-        assert coster.charge_step(messages, reductions) == want
-        assert coster.counters == counters
+        want = from_lists.charge_step(messages, reductions)
+        got = from_arrays.charge_step(
+            np.array(messages, dtype=np.int64).reshape(-1, 3),
+            np.array(reductions, dtype=np.int64).reshape(-1, 2),
+        )
+        assert got == want
+        assert from_arrays.counters == from_lists.counters
+
+
+@pytest.mark.parametrize("alpha, busiest", [(1e-6, "link 0->1"), (1e-5, "rank 0")])
+def test_one_step_priced_by_hand(alpha, busiest):
+    """On a 4x2x1 ring of nodes (rank r on node r // 2, one NIC each), rank
+    0 sends to nodes 1 and 2 (links 0->1, then 0->1 and 1->2), rank 6 on
+    node 3 to node 1 (links 3->0 and 0->1, ascending on the tie), and rank
+    1 within node 0; rank 2 reduces. Each resource's busy time is the sum
+    of its charges in message order, and the makespan is the largest."""
+    beta, alpha_intra, beta_intra, gamma = 1e-9, 3e-7, 1e-10, 2e-10
+    params = CostParams(
+        alpha_inter=alpha,
+        beta_inter=beta,
+        alpha_intra=alpha_intra,
+        beta_intra=beta_intra,
+        gamma_reduce_fast=gamma,
+        packet_bytes=1024,
+    )
+    config = cfg(
+        Topology(4, 2, 1), params, nic_policy="single_nic", phys_topology="ring_of_nodes"
+    )
+    coster = StepCoster(config)
+    a, b, d, c = 1000, 2000, 4000, 500
+    makespan = coster.charge_step([(0, 2, a), (0, 4, b), (6, 2, d), (1, 0, c)], [(2, a)])
+    busy = {
+        "rank 0": (alpha + beta * a) + (alpha + beta * b),
+        "rank 6": alpha + beta * d,
+        "rank 1": alpha_intra + beta_intra * c,
+        "reduce 2": gamma * a,
+        "nic out, node 0": beta * a + beta * b,
+        "nic out, node 3": beta * d,
+        "nic in, node 1": beta * a + beta * d,
+        "nic in, node 2": beta * b,
+        "link 0->1": beta * a + beta * b + beta * d,
+        "link 1->2": beta * b,
+        "link 3->0": beta * d,
+    }
+    assert makespan == busy[busiest] == max(busy.values())
+    pkts = 1 + 2 + 4  # ceil(a / 1024) + ceil(b / 1024) + ceil(d / 1024)
+    assert coster.counters == NicCounters(1, [a + b + d], [a + b + d], [pkts], [pkts])
 
 
 @st.composite
@@ -429,15 +434,6 @@ def test_schedule_arrays_are_read_only():
         reductions[0, 1] = 0
 
 
-@pytest.mark.parametrize("n_nodes", range(1, 10))
-def test_ring_links_expand_ring_hops_in_message_order(n_nodes):
-    pairs = [(s, d) for s in range(n_nodes) for d in range(n_nodes)]
-    src, dst = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-    owner, a, b = ring_links(n_nodes, src, dst)
-    want = [(i, *hop) for i, (s, d) in enumerate(pairs) for hop in ring_hops(n_nodes, s, d)]
-    assert list(zip(owner.tolist(), a.tolist(), b.tolist())) == want
-
-
 @st.composite
 def ring_messages(draw):
     """Up to 200 (src_node, dst_node) pairs on a ring of N <= 64 nodes,
@@ -457,8 +453,11 @@ def ring_messages(draw):
 @given(case=ring_messages())
 def test_link_loads_count_every_hop_of_every_path(case):
     n, src, dst = case
-    want = np.bincount(simnet._link_ids(n, src, dst)[1], minlength=2 * n)
-    assert simnet._link_loads(n, src, dst).tolist() == want.tolist()
+    want = [0] * (2 * n)  # link a -> a+1 at 2a, link a -> a-1 at 2a+1
+    for s, d in zip(src.tolist(), dst.tolist()):
+        for a, b in ring_hops(n, s, d):
+            want[2 * a + (b != (a + 1) % n)] += 1
+    assert simnet._link_loads(n, src, dst).tolist() == want
 
 
 def test_charge_step_refuses_bad_ranks_and_sizes():
