@@ -13,6 +13,7 @@ the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -313,7 +314,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         ),
     )
     out = args.out or "calibration.csv"
-    table.save_csv(out)
+    header = ("N", "m_bytes", "ring_seconds", "recursive_seconds", "winner")
+    sweepmod.write_csv(out, header, map(dataclasses.astuple, table.entries))
     winners = {e.winner for e in table.entries}
     print(f"wrote {out} ({len(table.entries)} cells, winners: {sorted(winners)})")
     return 0

@@ -9,7 +9,6 @@ message plus ``beta`` seconds per byte. For a p-rank collective moving an
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -130,17 +129,6 @@ class CalibrationTable:
 
     def add(self, entry: CalibrationEntry) -> None:
         self.entries.append(entry)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["N", "m_bytes", "ring_seconds", "recursive_seconds", "winner"]
-            )
-            for e in self.entries:
-                writer.writerow(
-                    [e.n_nodes, e.m_bytes, repr(e.ring_seconds), repr(e.recursive_seconds), e.winner]
-                )
 
 
 def resolve_inter_algorithm(

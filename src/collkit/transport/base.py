@@ -7,9 +7,11 @@ Payload ownership contract: a payload is a :class:`Loan` of a float32
 array, or a bytes-like object whose ``len()`` (its byte count) is a
 multiple of 4. A loan lends the sender's array: the receiver reads
 ``loan.array`` and then calls ``release()``, and the sender writes that
-array again only after ``loan.wait()`` returns. A backend may send a copy
-instead (sockets always, the in-process backend under ``EAGER_BYTES``),
-leaving the loan released. Nothing writes a bytes payload after ``send``.
+array again only after ``loan.wait()`` returns. A backend may instead be
+done with the array when ``send`` returns, leaving the loan released:
+sockets write it to the kernel (a strided array through a copy), and the
+in-process backend copies it under ``EAGER_BYTES``. Nothing writes a
+bytes payload after ``send``.
 
 Bad peers are refused before anything is queued or waited on: ``send``
 and ``recv`` with a peer outside the world raise :class:`IndexOutOfRange`,

@@ -5,7 +5,9 @@ rank; no rank coordinates membership. Frames are a 16-byte little-endian
 header (u32 src, u32 dst, u32 tag, u32 payload_len) followed by the
 payload; header and payload go out in one gathered send and are never
 concatenated, and each payload is read straight into one buffer of its
-final size.
+final size. ``send`` writes its frame on the caller's thread, while one
+reader thread per peer delivers that peer's frames, so two ranks can
+write large blocks to each other at once.
 
 Each endpoint sets up its mesh on the caller's thread: it dials every
 lower rank, retrying until the connect timeout elapses, then accepts
@@ -15,7 +17,7 @@ endpoint closes what it opened and raises :class:`PeerUnreachable`.
 """
 from __future__ import annotations
 
-import queue
+import contextlib
 import socket
 import struct
 import threading
@@ -28,7 +30,6 @@ from .base import ChannelStore, Loan, check_payload, check_peer
 FRAME_HEADER = struct.Struct("<IIII")
 MAX_FRAME_PAYLOAD = (1 << 32) - 1
 DEFAULT_CONNECT_TIMEOUT = 30.0
-CLOSE_DRAIN_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,11 @@ def _send_parts(sock: socket.socket, parts) -> None:
 class SocketEndpoint:
     """The transport endpoint owned by one rank.
 
-    ``recv_timeout`` (seconds) bounds how long a receive may block; ``None``
-    blocks indefinitely. Construction blocks until the full mesh to all
-    peers is up; dialing a peer, and each accept with its rank read, give
-    up after ``connect_timeout``.
+    ``recv_timeout`` (seconds, > 0) bounds how long a receive, and each
+    write of a send, may block; ``None`` blocks indefinitely. A timed-out
+    send cuts its frame, so it leaves the peer unreachable. Construction
+    blocks until the full mesh to all peers is up; dialing a peer, and
+    each accept with its rank read, give up after ``connect_timeout``.
     """
 
     def __init__(
@@ -111,17 +113,17 @@ class SocketEndpoint:
         recv_timeout: float | None = None,
         listener: socket.socket | None = None,
     ):
+        if recv_timeout is not None and not 0 < recv_timeout <= threading.TIMEOUT_MAX:
+            raise Unsupported(f"recv_timeout must be in (0, {threading.TIMEOUT_MAX}] s, got {recv_timeout}")
         self.rank = rank
         self.hosts = sorted(hosts, key=lambda e: e.rank)
         self.size = len(self.hosts)
         self.recv_timeout = recv_timeout
         self._cond = threading.Condition()
+        self._send_lock = threading.Lock()
         self._store = ChannelStore()
         self._dead: set[int] = set()
-        self._closing = False
         self._socks: dict[int, socket.socket] = {}
-        self._out: dict[int, queue.Queue] = {}
-        self._writers: list[threading.Thread] = []
 
         self._listener = listener or socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -165,13 +167,11 @@ class SocketEndpoint:
     def _register_peer(self, peer: int, sock: socket.socket) -> None:
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._cond:
-            self._socks[peer] = sock
-            self._out[peer] = queue.Queue()
+        if self.recv_timeout is not None:  # >= 1 us, as 0 means no timeout
+            secs_usecs = divmod(max(1, round(self.recv_timeout * 1e6)), 10**6)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", *secs_usecs))
+        self._socks[peer] = sock  # only the constructor writes it, before any send
         threading.Thread(target=self._read_loop, args=(peer, sock), daemon=True).start()
-        writer = threading.Thread(target=self._write_loop, args=(peer, sock), daemon=True)
-        writer.start()
-        self._writers.append(writer)
 
     def _read_loop(self, peer: int, sock: socket.socket) -> None:
         try:
@@ -184,33 +184,37 @@ class SocketEndpoint:
                     self._store.put(src, dst, tag, payload)
                     self._cond.notify_all()
         except OSError:  # ConnectionError included
-            with self._cond:
-                self._dead.add(peer)
-                self._cond.notify_all()
+            self._mark_dead(peer)
 
-    def _write_loop(self, peer: int, sock: socket.socket) -> None:
-        q = self._out[peer]
-        try:
-            while True:
-                item = q.get()
-                if item is None:
-                    return
-                _send_parts(sock, item)
-        except OSError:
-            with self._cond:
-                self._dead.add(peer)
-                self._cond.notify_all()
+    def _mark_dead(self, peer: int) -> None:
+        with self._cond:
+            self._dead.add(peer)
+            self._cond.notify_all()
 
     def send(self, dst: int, tag: int, payload) -> None:
+        """Return once the frame is all in the kernel, so a loan is never
+        bound: a C-contiguous array is written in place, a strided one copied."""
         check_peer(self.rank, dst, self.size)
         check_payload(tag, payload)
-        if isinstance(payload, Loan):  # copied here, so never bound and released
-            payload = payload.array.tobytes()
         header = frame_header(self.rank, dst, tag, len(payload))
+        if isinstance(payload, Loan):
+            array = payload.array
+            payload = array if array.flags.c_contiguous else array.tobytes()
         with self._cond:
             if dst in self._dead:
                 raise PeerUnreachable(f"rank {dst} is unreachable")
-            self._out[dst].put((header, payload))
+        # Never under _cond: the readers take it to deliver frames, and a
+        # blocked write must not stop them draining the peer's sends to us.
+        with self._send_lock:
+            try:
+                _send_parts(self._socks[dst], (header, payload))
+            except OSError as exc:
+                self._mark_dead(dst)
+                with contextlib.suppress(OSError):  # the peer reads EOF, not half a frame
+                    self._socks[dst].shutdown(socket.SHUT_RDWR)
+                if isinstance(exc, BlockingIOError):
+                    raise Timeout(f"send to rank {dst} timed out after {self.recv_timeout}s") from exc
+                raise PeerUnreachable(f"rank {dst} is unreachable ({exc})") from exc
 
     def recv(self, src: int, tag: int):
         check_peer(self.rank, src, self.size)
@@ -236,23 +240,10 @@ class SocketEndpoint:
                     self._cond.wait(remaining)
 
     def close(self) -> None:
-        """Send the frames already queued, then shut every connection down.
-        A writer blocked on a peer that stopped reading waits at most
-        :data:`CLOSE_DRAIN_S`."""
-        with self._cond:
-            if self._closing:
-                return
-            self._closing = True
-        for q in self._out.values():
-            q.put(None)
-        deadline = time.monotonic() + CLOSE_DRAIN_S
-        for writer in self._writers:
-            writer.join(max(0.0, deadline - time.monotonic()))
+        """Shut every connection down; each send wrote its frame already."""
         for sock in self._socks.values():
-            try:
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             sock.close()
         self._listener.close()
 

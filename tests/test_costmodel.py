@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collkit.bench import cli
+from collkit.bench.sweep import calibrate_selector
 from collkit.costmodel import (
     CalibrationEntry,
-    CalibrationTable,
     CostParams,
     choose_inter_algorithm,
     hierarchical_phases,
@@ -180,11 +181,11 @@ def test_choose_is_scale_invariant(c, n, m):
 
 
 def test_calibration_table_save_csv_header_and_round_trip(tmp_path):
-    table = CalibrationTable()
-    table.add(CalibrationEntry(4, 16 << 20, 1.0, 2.0, "ring"))
-    table.add(CalibrationEntry(64, 1 << 30, 0.1 + 0.2, 1 / 3, "recursive"))
+    """``bench calibrate`` writes every entry so that it reads back equal,
+    an infinite recursive time (3 nodes) included."""
+    table = calibrate_selector([3, 4, 64], [3 << 20, 3 << 30], CostParams())
     path = tmp_path / "table.csv"
-    table.save_csv(path)
+    assert cli.main(["calibrate", "--nodes", "3,4,64", "--sizes", "3M,3G", "--out", str(path)]) == 0
     header = path.read_text().splitlines()[0]
     assert header == "N,m_bytes,ring_seconds,recursive_seconds,winner"
     with open(path, newline="") as fh:

@@ -1,3 +1,5 @@
+import math
+import socket
 import struct
 import threading
 import time
@@ -6,7 +8,14 @@ import numpy as np
 import pytest
 
 from collkit.collectives import ring_all_gather
-from collkit.errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, SelfSend, Timeout
+from collkit.errors import (
+    IndexOutOfRange,
+    LengthMismatch,
+    PeerUnreachable,
+    SelfSend,
+    Timeout,
+    Unsupported,
+)
 from collkit.transport import Communicator
 from collkit.transport.base import Loan
 from collkit.transport.sockets import (
@@ -156,21 +165,25 @@ def test_memoryview_payloads_round_trip(mesh4):
 
 
 def test_loan_is_copied_at_send_and_released_at_once(mesh4):
+    """A strided loan and a C-contiguous one: each reads released once
+    ``send`` returns, and overwriting it then does not reach the receiver."""
     grid = np.arange(4 * 3 * 5, dtype=np.float32).reshape(4, 3, 5)
-    want = grid[:, 1, :].copy()
+    flat = np.arange(1 << 18, dtype=np.float32)
+    want = [grid[:, 1, :].reshape(-1), flat.copy()]
 
     def fn(comm):
         if comm.rank == 0:
-            loan = Loan(grid[:, 1, :])
-            comm.send(1, 7, loan)
-            grid[...] = -1
-            return loan.released
+            loans = [Loan(grid[:, 1, :]), Loan(flat)]
+            for tag, loan in enumerate(loans):
+                comm.send(1, tag, loan)
+                loan.array[...] = -1
+            return [loan.released for loan in loans]
         if comm.rank == 1:
-            return np.frombuffer(comm.recv(0, 7), np.float32)
+            return [np.frombuffer(comm.recv(0, tag), np.float32) for tag in range(2)]
 
     released, got = on_ranks(mesh4, fn)[:2]
-    assert released
-    assert np.array_equal(got, want.reshape(-1))
+    assert released == [True, True]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_round_trip_and_fifo(mesh4):
@@ -197,6 +210,26 @@ def test_sendrecv_and_barrier(mesh4):
         assert got == bytes([rank ^ 1] * 4)
 
 
+def test_two_ranks_write_large_blocks_to_each_other_at_once():
+    """Each rank sends more than the kernel buffers hold before it
+    receives; the readers keep draining while both sends block."""
+    endpoints = connect_local_mesh(2, connect_timeout=10.0)
+    blocks = [np.full(1 << 20, r, dtype=np.float32) for r in range(2)]
+
+    def fn(comm):
+        for tag in range(8):
+            comm.send(comm.rank ^ 1, tag, Loan(blocks[comm.rank]))
+        return [np.frombuffer(comm.recv(comm.rank ^ 1, tag), np.float32) for tag in range(8)]
+
+    try:
+        results = on_ranks(endpoints, fn)
+    finally:
+        for ep in endpoints:
+            ep.close()
+    for rank, got in enumerate(results):
+        assert got is not None and all(np.array_equal(g, blocks[rank ^ 1]) for g in got)
+
+
 def test_collective_over_sockets(mesh4):
     inputs = [np.arange(6, dtype=np.float32) * (r + 1) for r in range(4)]
     outs = on_ranks(mesh4, lambda c: ring_all_gather(c, inputs[c.rank]))
@@ -213,13 +246,71 @@ def test_peer_crash_raises_unreachable():
     endpoints = connect_local_mesh(2, connect_timeout=10.0)
     try:
         endpoints[1].close()
+        # Sends raise it too, never a raw BrokenPipeError or ConnectionResetError.
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(PeerUnreachable):
+            while time.monotonic() < deadline:
+                endpoints[0].send(1, 0, bytes(1 << 16))
         with pytest.raises(PeerUnreachable):
             endpoints[0].recv(1, 0)
     finally:
         endpoints[0].close()
 
 
-def test_close_delivers_the_frames_already_queued():
+def test_send_to_a_peer_that_never_reads_times_out_then_is_unreachable():
+    """Rank 0 accepts rank 1's dial and never reads. With ``recv_timeout``
+    set, rank 1's send raises Timeout, the next send PeerUnreachable, and
+    close returns at once."""
+    listeners, entries = local_listeners(2)
+    try:
+        endpoint = SocketEndpoint(
+            1, entries, connect_timeout=5.0, recv_timeout=0.3, listener=listeners[1]
+        )
+        stalled, _addr = listeners[0].accept()
+        block = Loan(np.zeros(1 << 20, dtype=np.float32))
+        start = time.monotonic()
+        with pytest.raises(Timeout):
+            for tag in range(64):
+                endpoint.send(0, tag, block)
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(PeerUnreachable):
+            endpoint.send(0, 64, block)
+        start = time.monotonic()
+        endpoint.close()
+        assert time.monotonic() - start < 1.0
+        stalled.close()
+    finally:
+        for sock in listeners:
+            sock.close()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_recv_timeout_that_is_not_finite_and_positive_is_refused(monkeypatch, value):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened before recv_timeout was checked")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    with pytest.raises(Unsupported):
+        SocketEndpoint(0, [HostEntry(0, "127.0.0.1", 0)], recv_timeout=value)
+
+
+def test_mesh_of_8_runs_one_reader_thread_per_peer_and_none_after_close():
+    before = set(threading.enumerate())
+    endpoints = connect_local_mesh(8, connect_timeout=10.0)
+    try:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 8 * 7
+    finally:
+        for ep in endpoints:
+            ep.close()
+    deadline = time.monotonic() + 5.0
+    while any(t.is_alive() for t in started) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() <= len(before)
+
+
+def test_close_delivers_every_frame_sent():
     endpoints = connect_local_mesh(2, connect_timeout=10.0)
     try:
         chunk = bytes(1 << 16)
