@@ -120,12 +120,27 @@ def reduce_inplace(acc: np.ndarray, other: np.ndarray, out: np.ndarray | None = 
     return np.add(acc, other, out=acc if out is None else out)
 
 
-def _borrow(comm: Communicator, source: int, tag: int, shape) -> tuple[np.ndarray, Loan]:
+@functools.lru_cache(maxsize=1024)
+def _steps_of(collective: str, algorithm: str, p: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Group rank r's steps of one schedule, one ``(peer, source, send
+    block, receive block, width)`` per step and tag: :func:`_runs`
+    expanded, so that the executors unpack one tuple per step."""
+    return tuple(
+        (to[r], frm[r], first(r, i), first(frm[r], i), w)
+        for to, frm, w, count, first in _runs(collective, algorithm, p)
+        for i in range(count)
+    )
+
+
+def _borrow(recv, source: int, tag: int, shape) -> tuple[np.ndarray, Loan]:
     """Receive one payload as an array of ``shape``, and the loan to release
-    once it is read; bytes (from sockets) get a loan of their own."""
-    loan = comm.recv(source, tag)
+    once it is read. An in-process loan arrives in the shape it was sent
+    in; bytes (from sockets) get a loan of their own."""
+    loan = recv(source, tag)
     if not isinstance(loan, Loan):
         loan = Loan(np.frombuffer(loan, dtype=np.float32))
+    elif loan.array.shape == shape:
+        return loan.array, loan
     try:
         return loan.array.reshape(shape), loan
     except ValueError:
@@ -168,25 +183,20 @@ def all_gather(comm: Communicator, algorithm: str, buf, out: np.ndarray | None =
     rank-ordered concatenation of all contributions, or ``out`` (a
     (p, ...) array whose row b receives block b) when given."""
     p, r = comm.size, comm.rank
-    runs = _runs("all_gather", algorithm, p)
+    steps = _steps_of("all_gather", algorithm, p, r)
     blocks = _gather_blocks(buf, p, r, out)
-    loans = []
-    if runs:
-        tag = comm.next_base_tag(sum(run.count for run in runs))
-        for to, frm, w, count, first in runs:
-            peer, source = to[r], frm[r]
-            for i in range(count):
-                lo = first(r, i)
-                loans.append(Loan(blocks[lo : lo + w]))
-                comm.send(peer, tag, loans[-1])
-                lo = first(source, i)
-                dst = blocks[lo : lo + w]
-                arr, got = _borrow(comm, source, tag, dst.shape)
-                dst[...] = arr
-                got.release()
-                tag += 1
-    for loan in loans:
-        loan.wait()
+    if steps:
+        send, recv, world = comm.endpoint.send, comm.endpoint.recv, comm.members
+        loans = []
+        for tag, (peer, source, lo, got_lo, w) in enumerate(steps, comm.next_base_tag(len(steps))):
+            loans.append(Loan(blocks[lo : lo + w]))
+            send(world[peer], tag, loans[-1])
+            dst = blocks[got_lo : got_lo + w]
+            arr, got = _borrow(recv, world[source], tag, dst.shape)
+            dst[...] = arr
+            got.release()
+        for loan in loans:
+            loan.wait()
     return blocks.reshape(-1) if out is None else out
 
 
@@ -194,33 +204,24 @@ def reduce_scatter(comm: Communicator, algorithm: str, buf) -> np.ndarray:
     """Run the reduce-scatter schedule of ``algorithm``. Rank r ends with
     chunk r of the element-wise sum over all ranks' inputs."""
     p, r = comm.size, comm.rank
-    runs = _runs("reduce_scatter", algorithm, p)
+    steps = _steps_of("reduce_scatter", algorithm, p, r)
     chunks = _chunks(buf, p)
-    if not runs:
+    if not steps:
         return chunks[0].flatten()
-    tag = comm.next_base_tag(sum(run.count for run in runs))
+    send, recv, world = comm.endpoint.send, comm.endpoint.recv, comm.members
     # ``part`` holds the partials of chunks at..at+len(part)-1 computed on
     # the last step; every other chunk is still this rank's own input.
     part, at = chunks[:0], 0
-
-    def rows(lo: int, w: int) -> np.ndarray:
-        """This rank's value of chunks lo..lo+w-1."""
-        if at <= lo and lo + w <= at + len(part):
-            return part[lo - at : lo - at + w]
-        return chunks[lo : lo + w]
-
     loans = []
-    for to, frm, w, count, first in runs:
-        peer, source = to[r], frm[r]
-        for i in range(count):
-            loans.append(Loan(rows(first(r, i), w)))
-            comm.send(peer, tag, loans[-1])
-            lo = first(source, i)
-            mine = rows(lo, w)
-            other, got = _borrow(comm, source, tag, mine.shape)
-            part, at = reduce_inplace(mine, other, out=np.empty(mine.shape, dtype=np.float32)), lo
-            got.release()
-            tag += 1
+    for tag, (peer, source, lo, got_lo, w) in enumerate(steps, comm.next_base_tag(len(steps))):
+        k = lo - at
+        loans.append(Loan(part[k : k + w] if 0 <= k <= len(part) - w else chunks[lo : lo + w]))
+        send(world[peer], tag, loans[-1])
+        k = got_lo - at
+        mine = part[k : k + w] if 0 <= k <= len(part) - w else chunks[got_lo : got_lo + w]
+        other, got = _borrow(recv, world[source], tag, mine.shape)
+        part, at = reduce_inplace(mine, other, out=np.empty(mine.shape, dtype=np.float32)), got_lo
+        got.release()
     for loan in loans:
         loan.wait()
     return part.reshape(-1)

@@ -7,9 +7,12 @@ Payload ownership contract: a payload is a :class:`Loan` of a float32
 array, or a bytes-like object whose ``len()`` (its byte count) is a
 multiple of 4. A loan lends the sender's array: the receiver reads
 ``loan.array`` and then calls ``release()``, and the sender writes that
-array again only after ``loan.wait()`` returns. A backend may instead be
-done with the array when ``send`` returns, leaving the loan released:
-sockets write it to the kernel (a strided array through a copy), and the
+array again only after ``loan.wait()`` returns. A backend that lends it
+calls ``loan.bind(transport, owner_rank, peer)`` in ``send``: ``release``
+and ``wait`` then go through ``transport.release_loan``/``wait_loan``, and
+only the sending rank ``owner_rank`` waits. A backend may instead be done
+with the array when ``send`` returns, leaving the loan released: sockets
+write it to the kernel (a strided array through a copy), and the
 in-process backend copies it under ``EAGER_BYTES``. Nothing writes a
 bytes payload after ``send``.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import IndexOutOfRange, LengthMismatch, PeerUnreachable, SelfSend, Unsupported
+from ..errors import IndexOutOfRange, LengthMismatch, SelfSend, Unsupported
 
 # Tag namespace layout. Each communicator owns a tag range derived from its
 # id; each collective invocation on a communicator draws a fresh base tag
@@ -49,9 +52,9 @@ def check_payload(tag: int, payload) -> None:
 
 class Loan:
     """A payload that lends ``array`` (float32, any strides). It reads
-    released until a backend binds it to the sender's ``cond``."""
+    released until a backend binds it from rank ``owner`` to ``peer``."""
 
-    __slots__ = ("array", "released", "_cond", "_transport")
+    __slots__ = ("array", "released", "owner", "peer", "_transport")
 
     def __init__(self, array) -> None:
         self.array = array
@@ -60,27 +63,20 @@ class Loan:
     def __len__(self) -> int:
         return self.array.nbytes
 
-    def bind(self, transport, cond) -> None:
+    def bind(self, transport, owner_rank: int, peer: int) -> None:
         self.released = False
-        self._transport, self._cond = transport, cond
+        self._transport, self.owner, self.peer = transport, owner_rank, peer
 
     def release(self) -> None:
         """Called by the receiver once it has read ``array``."""
         if not self.released:
-            with self._cond:
-                self.released = True
-                self._cond.notify_all()
+            self._transport.release_loan(self)
 
     def wait(self) -> None:
         """Block until the receiver has released the array; raises
         :class:`PeerUnreachable` once ``transport.abort`` was called."""
         if not self.released:
-            with self._cond:
-                while not self.released:
-                    reason = self._transport.abort_reason
-                    if reason is not None:
-                        raise PeerUnreachable(f"loan never released: {reason}")
-                    self._cond.wait()
+            self._transport.wait_loan(self)
 
 
 class ChannelStore:

@@ -1,6 +1,9 @@
 """In-process transport: every rank is a thread, messages cross a shared
 queue structure, time is wall-clock. This is the reference backend that the
 correctness tests and the oracle verification run against.
+
+Each rank waits, in ``recv`` or ``Loan.wait``, by acquiring its own doorbell,
+a lock created held; whoever wakes the rank releases the bell once.
 """
 from __future__ import annotations
 
@@ -10,8 +13,9 @@ import time
 from ..errors import IndexOutOfRange, PeerUnreachable, Timeout, Unsupported
 from .base import ChannelStore, Communicator, Loan, check_payload, check_peer
 
-# Loans under this many bytes are sent as a private copy: below it, waiting
-# for the release cost more than copying (1.25x per call at 4 KiB, p=2).
+# Loans under this many bytes are sent as a private copy: below it, lending
+# costs more than copying (1.3x per call at 4 KiB, p=2 on one CPU; level at
+# 64 KiB; 0.75x at 256 KiB).
 EAGER_BYTES = 1 << 16
 
 
@@ -23,11 +27,18 @@ class InProcessTransport:
             raise Unsupported(f"num_ranks must be >= 1, got {num_ranks}")
         self.num_ranks = num_ranks
         self._store = ChannelStore()
-        # One condition per rank over a shared lock: a send wakes only the
-        # rank it is addressed to, not every waiting rank.
+        # ``_lock`` guards all state. ``_parked[r]`` is what parked rank r
+        # waits for, a (src, tag) pair or a loan; who clears it rings r's bell.
+        # Once every rank of ``_live`` (those run_ranks runs and that have
+        # not returned) is parked, none can be woken: the run is a deadlock.
         self._lock = threading.Lock()
-        self._conds = [threading.Condition(self._lock) for _ in range(num_ranks)]
+        self._bells = [threading.Lock() for _ in range(num_ranks)]
+        for bell in self._bells:
+            bell.acquire()
+        self._parked: list = [None] * num_ranks
+        self._live: set[int] = set()
         self.abort_reason: str | None = None
+        self._deadlock: str | None = None
 
     def endpoint(self, rank: int) -> "InProcessEndpoint":
         if not 0 <= rank < self.num_ranks:
@@ -38,57 +49,93 @@ class InProcessTransport:
         """Wake every rank waiting in ``recv`` or ``Loan.wait``, and make
         every such wait from now on raise :class:`PeerUnreachable`."""
         with self._lock:
-            if self.abort_reason is None:
-                self.abort_reason = reason
-            for cond in self._conds:
-                cond.notify_all()
+            self._abort(reason)
 
     def max_in_flight(self) -> int:
         with self._lock:
             return self._store.max_in_flight()
 
-    # endpoint plumbing
-
-    def _send(self, src: int, dst: int, tag: int, payload) -> None:
-        check_peer(src, dst, self.num_ranks)
-        check_payload(tag, payload)
-        if isinstance(payload, Loan):
-            if len(payload) < EAGER_BYTES:
-                payload = Loan(payload.array.copy())  # never bound, so released
-            else:
-                payload.bind(self, self._conds[src])
+    def release_loan(self, loan: Loan) -> None:
         with self._lock:
-            self._store.put(src, dst, tag, payload)
-            self._conds[dst].notify_all()
+            loan.released = True
+            self._ring(loan.owner)
 
-    def _recv(self, dst: int, src: int, tag: int):
-        check_peer(dst, src, self.num_ranks)
-        cond = self._conds[dst]
+    def wait_loan(self, loan: Loan) -> None:
         with self._lock:
-            while True:
-                data = self._store.try_pop(src, dst, tag)
-                if data is not None:
-                    return data
+            while not loan.released:
                 if self.abort_reason is not None:
-                    raise PeerUnreachable(
-                        f"rank {dst} waited on rank {src}, tag {tag}: {self.abort_reason}"
-                    )
-                cond.wait()
+                    raise PeerUnreachable(f"loan never released: {self.abort_reason}")
+                self._park(loan.owner, loan)
+
+    # The rest run with ``_lock`` held.
+
+    def _abort(self, reason: str) -> None:
+        if self.abort_reason is None:
+            self.abort_reason = reason
+        for rank in range(self.num_ranks):
+            self._ring(rank)
+
+    def _ring(self, rank: int) -> None:
+        if self._parked[rank] is not None:
+            self._parked[rank] = None
+            self._bells[rank].release()
+
+    def _park(self, rank: int, waits_for) -> None:
+        self._parked[rank] = waits_for
+        self._check_deadlock()
+        self._lock.release()
+        self._bells[rank].acquire()
+        self._lock.acquire()
+
+    def _check_deadlock(self) -> None:
+        if self._live and None not in [self._parked[r] for r in self._live]:
+            self._deadlock = "deadlock: " + "; ".join(
+                f"rank {r} waits for rank {w.peer} to release a loan" if isinstance(w, Loan)
+                else f"rank {r} waits in recv(src={w[0]}, tag={w[1]})"
+                for r, w in enumerate(self._parked) if r in self._live
+            )
+            self._abort(self._deadlock)
 
 
 class InProcessEndpoint:
+    """Rank ``rank``'s end of a transport; one thread uses it at a time."""
+
     def __init__(self, transport: InProcessTransport, rank: int):
         self.transport = transport
         self.rank = rank
+        self._peers = frozenset(range(transport.num_ranks)) - {rank}
+        self._lock, self._parked = transport._lock, transport._parked
+        self._put, self._pop = transport._store.put, transport._store.try_pop
 
     def send(self, dst: int, tag: int, payload) -> None:
-        self.transport._send(self.rank, dst, tag, payload)
+        lent = isinstance(payload, Loan)
+        nbytes = payload.array.nbytes if lent else len(payload)
+        if dst not in self._peers or tag < 0 or nbytes % 4:
+            check_peer(self.rank, dst, self.transport.num_ranks)
+            check_payload(tag, payload)
+        if lent:
+            if nbytes < EAGER_BYTES:
+                payload = Loan(payload.array.copy())  # never bound, so released
+            else:
+                payload.bind(self.transport, self.rank, dst)
+        with self._lock:
+            self._put(self.rank, dst, tag, payload)
+            if self._parked[dst] is not None:
+                self.transport._ring(dst)
 
     def recv(self, src: int, tag: int):
-        return self.transport._recv(self.rank, src, tag)
+        if src not in self._peers:
+            check_peer(self.rank, src, self.transport.num_ranks)
+        with self._lock:
+            while (data := self._pop(src, self.rank, tag)) is None:
+                if (reason := self.transport.abort_reason) is not None:
+                    raise PeerUnreachable(f"rank {self.rank} waited on rank {src}, tag {tag}: {reason}")
+                self.transport._park(self.rank, (src, tag))
+            return data
 
 
-# Ranks still running this long after they started are taken to be deadlocked.
+# Ranks still running this long after they started are taken to be stuck
+# outside the transport, where deadlock detection cannot see them.
 RANKS_TIMEOUT_S = 120.0
 
 
@@ -99,13 +146,16 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
     When a rank raises, the transport is aborted: every rank waiting in
     ``recv``, or about to wait, gets :class:`PeerUnreachable`, so all
     threads end and are joined. The caller then gets the error of the
-    lowest rank that failed on its own. Ranks still running after
-    :data:`RANKS_TIMEOUT_S` are aborted the same way, and :class:`Timeout`
-    is raised.
+    lowest rank that failed on its own. Once every rank not yet returned
+    waits in the transport, it is aborted the same way at once and
+    :class:`Timeout` names each wait; so it is for ranks still running
+    after :data:`RANKS_TIMEOUT_S`.
     """
     transport = transport or InProcessTransport(num_ranks)
     results: list = [None] * num_ranks
     errors: list[tuple[int, BaseException]] = []
+    with transport._lock:
+        transport._live.update(range(num_ranks))
 
     def runner(rank: int) -> None:
         comm = Communicator(transport.endpoint(rank), range(num_ranks))
@@ -114,6 +164,10 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append((rank, exc))
             transport.abort(f"rank {rank} failed: {exc!r}")
+        finally:
+            with transport._lock:
+                transport._live.discard(rank)
+                transport._check_deadlock()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"collkit-rank-{r}", daemon=True)
@@ -128,6 +182,8 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
     if any(t.is_alive() for t in threads):
         transport.abort(f"ranks did not finish within {timeout} s")
         raise Timeout(f"ranks did not finish within {timeout} s (possible deadlock)")
+    if transport._deadlock is not None:
+        raise Timeout(transport._deadlock)
     if errors:
         # A rank woken by the abort fails with PeerUnreachable; report the
         # failure that caused it.

@@ -78,6 +78,15 @@ def test_runs_expand_to_the_oracle_steps(collective, algorithm):
             assert [a.first(r) for r in range(p)] == [b.first(r) for r in range(p)], (p, s)
 
 
+@pytest.mark.parametrize("collective,algorithm", KEYS)
+def test_step_tables_are_the_expanded_runs(collective, algorithm):
+    for p in [n for n in sizes(algorithm) if n <= 16]:
+        steps = expand(collective, algorithm, p)
+        for r in range(p):
+            want = tuple((s.to[r], s.frm[r], s.first(r), s.first(s.frm[r]), s.width) for s in steps)
+            assert collectives._steps_of(collective, algorithm, p, r) == want, (p, r)
+
+
 def blocks(step, r):
     lo = step.first(r)
     return range(lo, lo + step.width)

@@ -223,6 +223,77 @@ def test_deadlocked_ranks_time_out_and_are_released(monkeypatch):
     assert _rank_threads() == []
 
 
+def test_a_rank_stuck_outside_the_transport_times_out_at_the_backstop(monkeypatch):
+    # Rank 0 waits in recv while rank 1 blocks where the transport cannot
+    # see it, so no deadlock is detected; RANKS_TIMEOUT_S still ends the run.
+    monkeypatch.setattr(inprocess, "RANKS_TIMEOUT_S", 0.2)
+    stuck = threading.Event()
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.recv(1, 0)
+        else:
+            stuck.wait(5.0)
+
+    with pytest.raises(Timeout, match="did not finish within 0.2 s"):
+        run_ranks(2, fn)
+    stuck.set()
+    for t in _rank_threads():
+        t.join(1.0)
+    assert _rank_threads() == []
+
+
+def _timed_out(fn):
+    """The ``Timeout`` that ``run_ranks(2, fn)`` raises, checked to come
+    within 1 s and to leave no rank thread behind."""
+    start = time.monotonic()
+    with pytest.raises(Timeout) as info:
+        run_ranks(2, fn)
+    assert time.monotonic() - start < 1.0
+    assert _rank_threads() == []
+    return str(info.value)
+
+
+def test_ranks_that_all_recv_first_are_a_deadlock_at_once():
+    text = _timed_out(lambda comm: comm.recv(1 - comm.rank, 3 + comm.rank))
+    assert "rank 0 waits in recv(src=1, tag=3)" in text
+    assert "rank 1 waits in recv(src=0, tag=4)" in text
+
+
+def test_a_rank_returning_while_its_peer_waits_on_it_is_a_deadlock():
+    def fn(comm):
+        if comm.rank == 0:
+            comm.recv(1, 5)
+        else:
+            time.sleep(0.05)  # let rank 0 park first
+
+    assert "rank 0 waits in recv(src=1, tag=5)" in _timed_out(fn)
+
+
+def test_a_loan_its_receiver_returns_without_releasing_is_a_deadlock():
+    def fn(comm):
+        if comm.rank == 0:
+            loan = Loan(np.zeros(EAGER_BYTES // 4, dtype=np.float32))
+            comm.send(1, 0, loan)
+            loan.wait()
+        else:
+            comm.recv(0, 0)
+            time.sleep(0.05)  # let rank 0 park first
+
+    assert "rank 0 waits for rank 1 to release a loan" in _timed_out(fn)
+
+
+def test_messages_match_on_tag_and_keep_fifo_order_within_one():
+    def fn(comm):
+        if comm.rank == 0:
+            for tag, payload in ((1, b"one."), (2, b"two1"), (2, b"two2")):
+                comm.send(1, tag, payload)
+        else:
+            return [comm.recv(0, tag) for tag in (2, 1, 2)]
+
+    assert run_ranks(2, fn)[1] == [b"two1", b"one.", b"two2"]
+
+
 def test_zero_ranks_is_refused():
     with pytest.raises(Unsupported):
         InProcessTransport(0)
@@ -375,3 +446,34 @@ def test_loans_lose_no_release_under_contention():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert torn == []
+
+
+def test_collectives_under_contention_are_never_taken_for_a_deadlock():
+    # More rank threads than CPUs and a short switch interval, with blocks
+    # that are lent: a rank counted as parked after it was woken, or a
+    # lost wake-up, would abort the run with ``Timeout``.
+    from collkit import collectives
+    from collkit.bench.oracles import expected_all_gather, expected_reduce_scatter
+
+    p, n, rounds = 8, EAGER_BYTES // 4, 4
+    ag = [np.arange(n, dtype=np.float32) + r for r in range(p)]
+    rs = [np.arange(p * n, dtype=np.float32) * (r + 1) for r in range(p)]
+
+    def fn(comm):
+        outs = []
+        for _ in range(rounds):
+            for alg in ("ring", "recursive"):
+                outs.append(collectives.all_gather(comm, alg, ag[comm.rank]))
+                outs.append(collectives.reduce_scatter(comm, alg, rs[comm.rank]))
+        return outs
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_ranks(p, fn)
+    finally:
+        sys.setswitchinterval(old)
+    want_ag, want_rs = expected_all_gather(ag), expected_reduce_scatter(rs)
+    for r, outs in enumerate(results):
+        for k, out in enumerate(outs):
+            assert np.array_equal(out, want_ag if k % 2 == 0 else want_rs[r]), (r, k)

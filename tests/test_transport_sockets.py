@@ -39,7 +39,13 @@ def mesh4():
         ep.close()
 
 
+RANKS_DEADLINE_S = 30.0
+
+
 def on_ranks(endpoints, fn):
+    """Run ``fn(comm)`` on one daemon thread per endpoint and return the
+    per-rank results. Ranks still running at one shared deadline fail the
+    test by name, after the endpoints are closed to release them."""
     results = [None] * len(endpoints)
     errors = []
 
@@ -49,11 +55,17 @@ def on_ranks(endpoints, fn):
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(r,)) for r in range(len(endpoints))]
+    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(len(endpoints))]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + RANKS_DEADLINE_S
     for t in threads:
-        t.join(timeout=30)
+        t.join(max(0.0, deadline - time.monotonic()))
+    alive = [r for r, t in enumerate(threads) if t.is_alive()]
+    if alive:
+        for ep in endpoints:
+            ep.close()
+        pytest.fail(f"ranks {alive} still running after {RANKS_DEADLINE_S} s")
     if errors:
         raise errors[0]
     return results
