@@ -66,18 +66,20 @@ A run's makespan is added once per step, in step order (:func:`_fold`:
 ``np.add.accumulate``, which also adds strictly in sequence), so the
 float adds are those of a per-step loop. :func:`simulate`'s trace keeps
 one record per run; ``trace.steps`` builds the per-step :class:`SimStep`
-list on first read. So seconds, per-step traces and counters are ``==``
-to charging every step of :func:`build_schedule`, message by message,
-through :class:`StepCoster`; the tests check that they are. And
-:func:`seconds`, for callers that read only seconds, costs O(runs), with
-no counters or trace. The trace holds no
-messages: :func:`build_schedule` walks the same plan and yields them.
+list on read, shared while a reader holds it and never kept by the trace,
+so a result holds O(runs) objects. So seconds, per-step traces and
+counters are ``==`` to charging every step of :func:`build_schedule`,
+message by message, through :class:`StepCoster`; the tests check that
+they are. And :func:`seconds`, for callers that read only seconds, costs
+O(runs), with no counters or trace. The trace holds no messages:
+:func:`build_schedule` walks the same plan and yields them.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -156,6 +158,10 @@ class TraceRun(NamedTuple):
     reduction_count: int
 
 
+class _Steps(list):
+    __slots__ = ("__weakref__",)  # a plain list cannot be weakly referenced
+
+
 @dataclass(eq=False)
 class StepTrace:
     """The steps of a simulated run, kept as one record per run; two
@@ -163,15 +169,20 @@ class StepTrace:
 
     runs: list[TraceRun] = field(default_factory=list)
 
-    @functools.cached_property
+    @property
     def steps(self) -> list[SimStep]:
-        """One :class:`SimStep` per step, built on first read."""
-        steps = []
-        for first, count, makespan, n, size, reductions in self.runs:
-            steps += [
-                SimStep(index, makespan, n, size, reductions)
-                for index in range(first, first + count)
-            ]
+        """One :class:`SimStep` per step, built on read. Readers that hold
+        the list share it; the trace keeps only a weak reference to it, so
+        it never keeps a step alive and holds O(runs) objects."""
+        steps = getattr(self, "_steps", lambda: None)()
+        if steps is None:
+            steps = _Steps()
+            for first, count, makespan, n, size, reductions in self.runs:
+                steps += [
+                    SimStep(index, makespan, n, size, reductions)
+                    for index in range(first, first + count)
+                ]
+            self._steps = weakref.ref(steps)
         return steps
 
     def __eq__(self, other) -> bool:

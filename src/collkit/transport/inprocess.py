@@ -149,7 +149,7 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
     lowest rank that failed on its own. Once every rank not yet returned
     waits in the transport, it is aborted the same way at once and
     :class:`Timeout` names each wait; so it is for ranks still running
-    after :data:`RANKS_TIMEOUT_S`.
+    after :data:`RANKS_TIMEOUT_S`, naming the ranks outside the transport.
     """
     transport = transport or InProcessTransport(num_ranks)
     results: list = [None] * num_ranks
@@ -180,8 +180,11 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
     for t in threads:
         t.join(max(0.0, deadline - time.monotonic()))
     if any(t.is_alive() for t in threads):
-        transport.abort(f"ranks did not finish within {timeout} s")
-        raise Timeout(f"ranks did not finish within {timeout} s (possible deadlock)")
+        late = f"ranks did not finish within {timeout} s"
+        with transport._lock:
+            stuck = ", ".join(f"rank {r}" for r in sorted(transport._live) if transport._parked[r] is None)
+            transport._abort(late)
+        raise Timeout(f"{late}: {stuck} still running, blocked outside the transport")
     if transport._deadlock is not None:
         raise Timeout(transport._deadlock)
     if errors:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -557,6 +558,20 @@ def test_steps_are_built_on_first_read(monkeypatch):
     again = res.trace.steps
     assert len(built) == topo.world_size - 1
     assert again == steps
+
+
+def _live_steps() -> int:
+    return sum(isinstance(o, SimStep) for o in gc.get_objects())
+
+
+def test_the_trace_keeps_no_step_alive_once_its_reader_drops_them():
+    topo = Topology(256, 8, 4)
+    res = simulate(cfg(topo), "all_gather", "ring", topo.world_size * 64)
+    before = _live_steps()
+    first = [dataclasses.astuple(s) for s in res.trace.steps]
+    assert len(first) == topo.world_size - 1
+    assert _live_steps() == before
+    assert [dataclasses.astuple(s) for s in res.trace.steps] == first
 
 
 FOLD_CELLS = {

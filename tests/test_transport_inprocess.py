@@ -235,8 +235,9 @@ def test_a_rank_stuck_outside_the_transport_times_out_at_the_backstop(monkeypatc
         else:
             stuck.wait(5.0)
 
-    with pytest.raises(Timeout, match="did not finish within 0.2 s"):
+    with pytest.raises(Timeout, match="did not finish within 0.2 s") as info:
         run_ranks(2, fn)
+    assert info.match(": rank 1 still running, blocked outside the transport")
     stuck.set()
     for t in _rank_threads():
         t.join(1.0)
