@@ -65,14 +65,13 @@ A run's makespan is added once per step, in step order (:func:`_fold`:
 ``functools.reduce`` up to ``_ACCUMULATE_ABOVE`` steps, above it
 ``np.add.accumulate``, which also adds strictly in sequence), so the
 float adds are those of a per-step loop. :func:`simulate`'s trace keeps
-one record per run; ``trace.steps`` builds the per-step :class:`SimStep`
-list on read, shared while a reader holds it and never kept by the trace,
-so a result holds O(runs) objects. So seconds, per-step traces and
-counters are ``==`` to charging every step of :func:`build_schedule`,
-message by message, through :class:`StepCoster`; the tests check that
-they are. And :func:`seconds`, for callers that read only seconds, costs
-O(runs), with no counters or trace. The trace holds no messages:
-:func:`build_schedule` walks the same plan and yields them.
+one record per run; ``trace.steps`` builds the :class:`SimStep` list on
+read, anew unless a reader holds the last one. So seconds, per-step
+traces and counters are ``==`` to charging every step of
+:func:`build_schedule`, message by message, through :class:`StepCoster`;
+the tests check that they are. And :func:`seconds`, for callers that read
+only seconds, costs O(runs), with no counters or trace. The trace holds
+no messages: :func:`build_schedule` walks the same plan and yields them.
 """
 from __future__ import annotations
 
@@ -171,17 +170,15 @@ class StepTrace:
 
     @property
     def steps(self) -> list[SimStep]:
-        """One :class:`SimStep` per step, built on read. Readers that hold
-        the list share it; the trace keeps only a weak reference to it, so
-        it never keeps a step alive and holds O(runs) objects."""
+        """One :class:`SimStep` per step, built on read: anew unless a reader
+        holds the last list, as the trace keeps only a weak reference to it."""
         steps = getattr(self, "_steps", lambda: None)()
         if steps is None:
-            steps = _Steps()
-            for first, count, makespan, n, size, reductions in self.runs:
-                steps += [
-                    SimStep(index, makespan, n, size, reductions)
-                    for index in range(first, first + count)
-                ]
+            steps = _Steps([
+                SimStep(index, makespan, n, size, reductions)
+                for first, count, makespan, n, size, reductions in self.runs
+                for index in range(first, first + count)
+            ])
             self._steps = weakref.ref(steps)
         return steps
 
@@ -189,6 +186,9 @@ class StepTrace:
         if not isinstance(other, StepTrace):
             return NotImplemented
         return self.steps == other.steps
+
+    def __getstate__(self) -> dict:  # copies and pickles build their own steps
+        return {"runs": self.runs}
 
 
 @dataclass

@@ -182,9 +182,10 @@ def run_ranks(num_ranks, fn, *, transport: InProcessTransport | None = None) -> 
     if any(t.is_alive() for t in threads):
         late = f"ranks did not finish within {timeout} s"
         with transport._lock:
-            stuck = ", ".join(f"rank {r}" for r in sorted(transport._live) if transport._parked[r] is None)
+            alive = [r for r, t in enumerate(threads) if t.is_alive()]
+            stuck = [r for r in alive if transport._parked[r] is None] or alive
             transport._abort(late)
-        raise Timeout(f"{late}: {stuck} still running, blocked outside the transport")
+        raise Timeout(f"{late}: {', '.join(map('rank {}'.format, stuck))} still running, blocked outside the transport")
     if transport._deadlock is not None:
         raise Timeout(transport._deadlock)
     if errors:

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import functools
 import gc
 import itertools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -572,6 +574,15 @@ def test_the_trace_keeps_no_step_alive_once_its_reader_drops_them():
     assert len(first) == topo.world_size - 1
     assert _live_steps() == before
     assert [dataclasses.astuple(s) for s in res.trace.steps] == first
+
+
+def test_a_read_trace_copies_and_pickles_without_its_readers_steps():
+    res = simulate(cfg(Topology(4, 2, 1)), "reduce_scatter", "ring", 4 << 20)
+    steps = res.trace.steps
+    for other in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+        assert other.trace.steps == steps
+        assert other.trace.steps is not steps
+        assert other.seconds == res.seconds and other.counters == res.counters
 
 
 FOLD_CELLS = {
