@@ -49,8 +49,8 @@ class CostParams:
         ):
             if not 0 <= getattr(self, name) < math.inf:  # False for NaN too
                 raise Unsupported(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if self.packet_bytes < 1:
-            raise Unsupported("packet_bytes must be >= 1")
+        if not isinstance(self.packet_bytes, int) or self.packet_bytes < 1:
+            raise Unsupported(f"packet_bytes must be an int >= 1, got {self.packet_bytes!r}")
 
     def alpha_beta(self, level: str) -> tuple[float, float]:
         if level == "inter":

@@ -52,26 +52,24 @@ counts, NIC policy, physical topology, collective, algorithm, resolved
 inter-node algorithm). A hierarchical run's phases are those of
 :func:`collkit.costmodel.hierarchical_phases`, which the real
 hierarchical collectives loop over too. For each phase the plan holds
-the divisor of ``m_bytes`` that gives the block, the census, each run's
-busiest-resource multiplicity, and the phase's NIC-counter weights. A
-warm call then validates ``m_bytes``, resolves ``auto`` and prices each
-run with a few float operations in :func:`_price`, the one pricing loop.
-:func:`seconds` stops there; :func:`simulate` also adds each phase's
-counters once, in exact integer arithmetic: bytes are a weight per NIC
-times the block, and packets, which round up per message, a sum over the
-phase's inter-node widths.
+the divisor of ``m_bytes`` that gives the block, one :class:`RunPrice`
+per run, the seven numbers of its census that pricing and the trace read
+(the busiest resource's charge count among them), and the phase's
+NIC-counter weights. A warm call validates ``m_bytes``, resolves
+``auto`` and prices each run with a few float operations in
+:func:`_price`, the one pricing loop; :func:`simulate` also adds each
+phase's counters once, in exact integer arithmetic.
 
-A run's makespan is added once per step, in step order (:func:`_fold`:
-``functools.reduce`` up to ``_ACCUMULATE_ABOVE`` steps, above it
-``np.add.accumulate``, which also adds strictly in sequence), so the
-float adds are those of a per-step loop. :func:`simulate`'s trace keeps
-one record per run; ``trace.steps`` builds the :class:`SimStep` list on
-read, anew unless a reader holds the last one. So seconds, per-step
-traces and counters are ``==`` to charging every step of
-:func:`build_schedule`, message by message, through :class:`StepCoster`;
-the tests check that they are. And :func:`seconds`, for callers that read
-only seconds, costs O(runs), with no counters or trace. The trace holds
-no messages: :func:`build_schedule` walks the same plan and yields them.
+A run's makespan is added once per step, in step order (:func:`_fold`: a
+loop of ``+=`` up to ``_ACCUMULATE_ABOVE`` steps, above it
+``np.add.accumulate``, which also adds strictly in sequence). So
+seconds, counters and the trace (one :class:`TraceRun` per run;
+``trace.steps`` builds the :class:`SimStep` list on read, anew unless a
+reader holds the last one) are ``==`` to charging every step of
+:func:`build_schedule` through :class:`StepCoster`, as the tests check.
+:func:`seconds` costs O(runs), with no counters or trace. The trace
+holds no messages: :func:`build_schedule` walks the same plan and yields
+them.
 """
 from __future__ import annotations
 
@@ -107,6 +105,8 @@ class SimConfig:
     reduce_profile: str = "fast"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.topo, Topology):
+            raise Unsupported(f"topo must be a Topology, got {self.topo!r}")
         if self.nic_policy not in NIC_POLICIES:
             raise Unsupported(f"nic_policy must be one of {NIC_POLICIES}")
         if self.phys_topology not in PHYS_TOPOLOGIES:
@@ -130,9 +130,9 @@ class NicCounters:
     non_posted_pkts: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for name in ("bytes_in", "bytes_out", "posted_pkts", "non_posted_pkts"):
-            if not getattr(self, name):
-                setattr(self, name, [0] * self.nics)
+        for counts in (self.bytes_in, self.bytes_out, self.posted_pkts, self.non_posted_pkts):
+            if not counts:
+                counts.extend([0] * self.nics)
 
 
 @dataclass(slots=True)
@@ -320,7 +320,7 @@ def build_schedule(
     ``m_bytes`` is the gathered output size for all-gather and the
     per-rank input size for reduce-scatter (both equal p times the block).
     """
-    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
+    plan, m_bytes = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     return itertools.chain.from_iterable(
         _phase(
             collective, phase.algorithm, groups(config.topo, phase.kind), m_bytes // phase.divisor
@@ -334,7 +334,8 @@ def build_schedule(
 
 class RunCensus(NamedTuple):
     """What pricing a run of identical steps needs to know of its messages,
-    whatever the block size (see the module docstring)."""
+    whatever the block size (see the module docstring). Its first six
+    fields are :class:`RunPrice`'s first six."""
 
     width: int  # blocks per message
     count: int  # steps in the run
@@ -413,53 +414,53 @@ def _census(
     )
 
 
+class RunPrice(NamedTuple):
+    """What pricing and the trace read of a run: its census's first six
+    fields and its busiest NIC slot's or link's count, max(egress, ingress,
+    link)."""
+
+    width: int
+    count: int
+    messages: int
+    reductions: int
+    inter: bool
+    intra: bool
+    busiest: int
+
+
 class Phase(NamedTuple):
-    """One phase of a collective run as :func:`_plan` caches it: its
-    census, and what pricing reads from the census on every call."""
+    """One phase of a collective run as :func:`_plan` caches it: what
+    pricing reads of its census on every call."""
 
     kind: str  # world, inter or intra group
     algorithm: str  # the flat algorithm its groups run
     divisor: int  # its block is m_bytes // divisor
-    census: tuple[RunCensus, ...]
-    busiest: tuple[int, ...]  # per run: max(egress, ingress, link)
-    # The non-zero NIC-counter weights, as (index, weight) pairs into the
-    # bytes in, then bytes out, of each NIC index: nic_in (nic_out) * width
-    # * count summed over the runs. The phase's bytes are these times the
-    # block.
-    nic_bytes: tuple[tuple[int, int], ...]
-    # Packets round up per message, so they keep the runs apart: per
-    # distinct column of nic_in (nic_out) * count, the widths of the
-    # inter-node runs with that column, and its non-zero pairs, indexed
-    # into the packets in, then out, of each NIC index.
-    nic_packets: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+    runs: tuple[RunPrice, ...]
+    # The NIC-counter weights: the inter-node runs grouped by messages
+    # moved per NIC index, (nic_in + nic_out) * count; per group, its runs'
+    # widths and its non-zero (index, n) pairs. Index i gets n times the
+    # widths' sum in blocks, and n times the sum of each width's packets,
+    # since packets round up per message.
+    nic_weights: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _planned_phase(
-    kind: str, algorithm: str, divisor: int, census: tuple[RunCensus, ...], nics: int
-) -> Phase:
+def _planned_phase(kind: str, algorithm: str, divisor: int, census: tuple[RunCensus, ...]) -> Phase:
     """A :class:`Phase`, with what it reads on every call taken from
     ``census``."""
-    nic_bytes = [0] * (2 * nics)
     widths = {}  # column of messages moved per NIC -> widths of its runs
     for run in census:
-        if not run.inter:
-            continue
-        moved = tuple(n * run.count for n in run.nic_in + run.nic_out)
-        for i, n in enumerate(moved):
-            nic_bytes[i] += n * run.width
-        widths.setdefault(moved, []).append(run.width)
-
-    def nonzero(weights):
-        return tuple((i, n) for i, n in enumerate(weights) if n)
-
+        if run.inter:
+            moved = tuple(n * run.count for n in run.nic_in + run.nic_out)
+            widths.setdefault(moved, []).append(run.width)
     return Phase(
         kind,
         algorithm,
         divisor,
-        census,
-        busiest=tuple(max(run.egress, run.ingress, run.link) for run in census),
-        nic_bytes=nonzero(nic_bytes),
-        nic_packets=tuple((tuple(w), nonzero(moved)) for moved, w in widths.items()),
+        tuple(RunPrice(*run[:6], max(run.egress, run.ingress, run.link)) for run in census),
+        tuple(
+            (tuple(w), tuple((i, n) for i, n in enumerate(moved) if n))
+            for moved, w in widths.items()
+        ),
     )
 
 
@@ -487,48 +488,50 @@ def _plan(
         phases = [("world", algorithm, topo.world_size)]
     return tuple(
         _planned_phase(
-            kind,
-            alg,
-            divisor,
-            _census(topo, nic_policy, phys_topology, kind, collective, alg),
-            topo.nics_per_node,
+            kind, alg, divisor, _census(topo, nic_policy, phys_topology, kind, collective, alg)
         )
         for kind, alg, divisor in phases
     )
 
 
-def check_bytes(m_bytes: int, p: int) -> None:
-    """Refuse a run of ``m_bytes`` that does not split evenly over ``p``
-    ranks, then one of a negative size."""
+def check_bytes(m_bytes: int, p: int) -> int:
+    """``m_bytes`` as an int, refusing a size that is not an integer, then
+    one that does not split evenly over ``p`` ranks, then a negative one."""
+    try:
+        m_bytes = operator.index(m_bytes)
+    except TypeError:
+        raise Unsupported(f"m_bytes must be an integer, got {m_bytes!r}") from None
     if m_bytes % p != 0:
         raise NotDivisible(f"m_bytes={m_bytes} not divisible by p={p}")
     if m_bytes < 0:
         raise LengthMismatch(f"negative byte count {m_bytes}")
+    return m_bytes
 
 
 def _plan_of(config: SimConfig, collective: str, algorithm: str, m_bytes: int, inter_alg: str):
-    """The cached plan of one collective run of ``m_bytes``, after its
-    checks: the names, then the size, then the shape (in :func:`_plan`).
+    """The cached plan of one collective run and ``m_bytes`` as an int, after
+    the checks: the names, then the size, then the shape (in :func:`_plan`).
     ``auto`` resolves on the run's sub-collective of m_bytes / M bytes."""
     if collective not in COLLECTIVES:
         raise Unsupported(f"unknown collective {collective!r}")
     if algorithm not in ALGORITHMS:
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     topo = config.topo
-    check_bytes(m_bytes, topo.world_size)
+    m_bytes = check_bytes(m_bytes, topo.world_size)
     inter = None
     if algorithm == "hierarchical":
         inter = resolve_inter_algorithm(
             inter_alg, topo.num_nodes, m_bytes // topo.gpus_per_node, config.params
         )
     shape = (topo.num_nodes, topo.gpus_per_node, topo.nics_per_node)
-    return _plan(*shape, config.nic_policy, config.phys_topology, collective, algorithm, inter)
+    plan = _plan(*shape, config.nic_policy, config.phys_topology, collective, algorithm, inter)
+    return plan, m_bytes
 
 
 # --- pricing -----------------------------------------------------------------
 
-# Above this many adds, np.add.accumulate's fixed cost (a few us) is less
-# than functools.reduce's per-add cost.
+# Above this many adds, np.add.accumulate's fixed cost (about 1 us) is less
+# than a Python loop's per-add cost.
 _ACCUMULATE_ABOVE = 100
 
 
@@ -536,28 +539,31 @@ def _fold(total: float, w: float, k: int) -> float:
     """``total`` plus ``k`` adds of ``w``, one at a time in order: the float
     adds of ``total += w`` in a loop. ``np.add.accumulate`` adds strictly in
     sequence too, so it gives the same bits for long runs."""
-    if k == 1:
-        return total + w
     if k <= _ACCUMULATE_ABOVE:
-        return functools.reduce(operator.add, itertools.repeat(w, k), total)
-    terms = np.full(k + 1, w)
+        for _ in itertools.repeat(None, k):
+            total += w
+        return total
+    terms = np.empty(k + 1)
+    terms.fill(w)
     terms[0] = total
     return float(np.add.accumulate(terms)[-1])
 
 
-def _makespan(run: RunCensus, busiest: int, b: int, params: CostParams, gamma: float) -> float:
+def _makespan(run: RunPrice, b: int, params: CostParams, gamma: float) -> float:
     """The makespan :meth:`StepCoster.charge_step` gives one step of
     ``run`` with ``b`` bytes per message: the busiest NIC or link, charged
     ``busiest`` times, adds its charges one by one from 0.0, as
     :class:`StepCoster` does."""
+    _, _, _, reductions, inter, intra, busiest = run
     wire = params.beta_inter * b
-    busy = _fold(0.0, wire, busiest)
+    # _fold(0.0, wire, busiest), inline for 0 or 1 adds (0.0 + -0.0 is 0.0).
+    busy = _fold(0.0, wire, busiest) if busiest > 1 else 0.0 + wire if busiest else 0.0
     # Each ``t > busy`` keeps the first of equals, as ``max`` does.
-    if run.inter and (t := params.alpha_inter + wire) > busy:
+    if inter and (t := params.alpha_inter + wire) > busy:
         busy = t
-    if run.intra and (t := params.alpha_intra + params.beta_intra * b) > busy:
+    if intra and (t := params.alpha_intra + params.beta_intra * b) > busy:
         busy = t
-    if run.reductions and (t := gamma * b) > busy:
+    if reductions and (t := gamma * b) > busy:
         busy = t
     return busy
 
@@ -566,13 +572,15 @@ def _count(counts: list[int], phase: Phase, block: int, packet_bytes: int) -> No
     """Adds every step of ``phase``'s inter-node bytes and packets to
     ``counts``, the NIC counters as one list (bytes in, bytes out, posted
     and non-posted packets, each per NIC index), in exact integer
-    arithmetic."""
-    for i, n in phase.nic_bytes:
-        counts[i] += n * block
+    arithmetic, in one pass over its weights."""
     posted = len(counts) // 2
-    for widths, moved in phase.nic_packets:
-        pkts = sum([-(-(width * block) // packet_bytes) for width in widths])
+    for widths, moved in phase.nic_weights:
+        size = sum(widths) * block
+        pkts = 0
+        for width in widths:
+            pkts += -(-(width * block) // packet_bytes)
         for i, n in moved:
+            counts[i] += n * size
             counts[posted + i] += n * pkts
 
 
@@ -593,14 +601,14 @@ def _price(plan, m_bytes: int, params: CostParams, gamma: float, runs=None) -> f
     first, total = 0, 0.0
     for phase in plan:
         block = m_bytes // phase.divisor
-        for run, busiest in zip(phase.census, phase.busiest):
-            b = run.width * block
-            makespan = _makespan(run, busiest, b, params, gamma)
-            total = _fold(total, makespan, run.count)
+        for run in phase.runs:
+            width, count, n, reductions, _, _, _ = run
+            b = width * block
+            makespan = _makespan(run, b, params, gamma)
+            total = total + makespan if count == 1 else _fold(total, makespan, count)
             if runs is not None:
-                n = run.messages
-                runs.append(_trace_run((first, run.count, makespan, n, n * b, run.reductions)))
-                first += run.count
+                runs.append(_trace_run((first, count, makespan, n, n * b, reductions)))
+                first += count
     return total
 
 
@@ -615,7 +623,7 @@ def seconds(
     ``simulate(...).seconds``, after the same checks, but without its NIC
     counters and trace."""
     params = config.params
-    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
+    plan, m_bytes = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     return _price(plan, m_bytes, params, params.gamma(config.reduce_profile))
 
 
@@ -634,11 +642,11 @@ def simulate(
     once.
     """
     k, params = config.topo.nics_per_node, config.params
-    plan = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
+    plan, m_bytes = _plan_of(config, collective, algorithm, m_bytes, inter_alg)
     runs = []
     total = _price(plan, m_bytes, params, params.gamma(config.reduce_profile), runs)
     counts = [0] * (4 * k)
     for phase in plan:
-        if phase.nic_packets:
+        if phase.nic_weights:
             _count(counts, phase, m_bytes // phase.divisor, params.packet_bytes)
     return SimResult(total, _counters(k, counts), StepTrace(runs))

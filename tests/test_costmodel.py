@@ -212,6 +212,11 @@ def test_params_validation():
     assert params.gamma("slow") == params.gamma_reduce_slow
 
 
+def test_params_refuse_a_packet_size_that_is_not_an_int():
+    with pytest.raises(Unsupported, match="packet_bytes must be an int"):
+        CostParams(packet_bytes=1000.5)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "name",

@@ -338,12 +338,12 @@ def test_census_holds_per_nic_counts_not_per_rank_arrays():
             "balanced", "ring_of_nodes", "all_gather", algorithm, inter,
         )
         for phase in plan:
-            assert all(type(n) is int for n in phase.busiest)
-            weights = [moved for _, moved in phase.nic_packets] + [phase.nic_bytes]
-            for pairs in weights:
+            for run in phase.runs:
+                assert all(type(n) in (int, bool) for n in run)
+            for _, pairs in phase.nic_weights:
                 assert len(pairs) <= 2 * topo.nics_per_node
                 assert all(type(i) is type(n) is int for i, n in pairs)
-            assert all(type(w) is int for widths, _ in phase.nic_packets for w in widths)
+            assert all(type(w) is int for widths, _ in phase.nic_weights for w in widths)
 
 
 def test_ring_of_nodes_recursive_step_is_set_by_its_busiest_link():
@@ -418,9 +418,9 @@ def test_census_prices_a_run_like_charging_each_step(case):
     for _ in range(count):
         want = coster.charge_step(sized_msgs, sized_reds)
     run = simnet._run_census(topo, config.nic_policy, config.phys_topology, msgs, reds, count)
-    phase = simnet._planned_phase("world", "ring", 1, (run,), topo.nics_per_node)
+    phase = simnet._planned_phase("world", "ring", 1, (run,))
     gamma = params.gamma(config.reduce_profile)
-    assert simnet._makespan(run, phase.busiest[0], run.width * block, params, gamma) == want
+    assert simnet._makespan(phase.runs[0], run.width * block, params, gamma) == want
     counts = [0] * (4 * topo.nics_per_node)
     simnet._count(counts, phase, block, params.packet_bytes)
     assert simnet._counters(topo.nics_per_node, counts) == coster.counters
@@ -782,6 +782,43 @@ def test_seconds_refuses_what_simulate_refuses(error, args):
             price(config, *args)
         raised.append(caught.type)
     assert raised == [error, error]
+
+
+def test_a_size_that_is_not_an_integer_is_refused():
+    config = cfg(Topology(4, 2, 1))
+    for price in (simulate, simnet.seconds):
+        with pytest.raises(Unsupported, match="m_bytes must be an integer"):
+            price(config, "all_gather", "ring", float(1 << 20))
+    with pytest.raises(Unsupported, match="m_bytes must be an integer"):
+        calibrate_selector((2,), (float(1 << 20),))
+
+
+def test_a_numpy_integer_size_prices_in_python_numbers():
+    config = cfg(Topology(4, 2, 1))
+    res = simulate(config, "reduce_scatter", "recursive", np.int64(1 << 20))
+    assert res == simulate(config, "reduce_scatter", "recursive", 1 << 20)
+    assert type(res.seconds) is float
+    assert type(simnet.seconds(config, "all_gather", "ring", np.int64(1 << 20))) is float
+    c = res.counters
+    for counts in (c.bytes_in, c.bytes_out, c.posted_pkts, c.non_posted_pkts):
+        assert all(type(n) is int for n in counts)
+    assert all(type(run.bytes_total) is int for run in res.trace.runs)
+
+
+def test_sim_config_refuses_a_topo_that_is_not_a_topology():
+    with pytest.raises(Unsupported, match="topo must be a Topology"):
+        SimConfig(topo=(4, 2, 1))
+
+
+def test_a_negative_zero_wire_cost_prices_as_charging_every_step():
+    """CostParams accepts beta_inter=-0.0. A NIC charged once holds
+    0.0 + -0.0, which is 0.0, so no makespan is -0.0."""
+    params = CostParams(0.0, -0.0, 0.0, 0.0, 0.0, 0.0)
+    config = cfg(Topology(4, 2, 1), params)
+    for algorithm in ("ring", "recursive"):
+        res = simulate(config, "all_gather", algorithm, 8 << 10)
+        want = charge_every_step(config, "all_gather", algorithm, 8 << 10, "ring")[1]
+        assert [s.makespan.hex() for s in res.trace.steps] == [s.makespan.hex() for s in want]
 
 
 def test_hierarchical_inter_auto_resolves():
